@@ -143,33 +143,21 @@ impl CachedModel {
         }
     }
 
-    /// Clones this cache's memo tables into a fresh cache reporting to
-    /// `recorder`, with zeroed pending counter deltas.
+    /// Clones this cache's memo tables into a fresh cache over the same
+    /// model, reporting to `recorder`, with zeroed pending counter
+    /// deltas.
     ///
     /// This is the cross-run retention primitive of the incremental
-    /// engine: a converged run's caches are forked into the next run so
-    /// entities whose input models are unchanged start with every curve
-    /// already memoized. The fork carries **values only** — evaluation
-    /// and miss deltas accumulated but not yet flushed stay with the
-    /// original, so the new run's counter stream reflects only its own
-    /// queries (pre-warmed keys count as hits, never as misses).
+    /// engine: a converged run's resolved models are replayed into the
+    /// next run for entities whose inputs are unchanged, and a replayed
+    /// cache is forked so it reports to the new run's recorder with
+    /// every curve already memoized. The fork carries **values only** —
+    /// evaluation and miss deltas accumulated but not yet flushed stay
+    /// with the original, so the new run's counter stream reflects only
+    /// its own queries (pre-warmed keys count as hits, never as misses).
     #[must_use]
     pub fn fork(&self, recorder: RecorderHandle) -> CachedModel {
-        self.fork_onto(self.inner.clone(), recorder)
-    }
-
-    /// Like [`CachedModel::fork`], but wrapping `inner` instead of this
-    /// cache's own model.
-    ///
-    /// The caller asserts that `inner` is *value-equivalent* to the
-    /// model the memoized entries were computed from — the incremental
-    /// engine proves this via the damage cone (an entity outside the
-    /// cone has bit-identical input models across runs). Re-wiring onto
-    /// the new run's model graph keeps cache misses from evaluating —
-    /// and keeping alive — the previous run's models.
-    #[must_use]
-    pub fn fork_onto(&self, inner: ModelRef, recorder: RecorderHandle) -> CachedModel {
-        let forked = CachedModel::recorded(inner, recorder);
+        let forked = CachedModel::recorded(self.inner.clone(), recorder);
         for (src, dst) in self.shards.iter().zip(&forked.shards) {
             let src = src.lock().expect("cache shard poisoned");
             let mut dst = dst.lock().expect("cache shard poisoned");
@@ -351,22 +339,6 @@ mod tests {
         // The original keeps its own pending miss.
         original.flush_recorded();
         assert_eq!(rec.snapshot().counter(Counter::CacheMisses), 1);
-    }
-
-    #[test]
-    fn fork_onto_serves_seeded_values_and_misses_hit_new_inner() {
-        let original = CachedModel::new(or_model());
-        let seeded_value = original.delta_min(3);
-        // Re-wire onto an equivalent model instance: seeded keys answer
-        // from the memo tables, fresh keys evaluate the new inner.
-        let replacement = or_model();
-        let forked = original.fork_onto(replacement.clone(), RecorderHandle::noop());
-        assert_eq!(forked.delta_min(3), seeded_value);
-        assert_eq!(
-            forked.eta_plus(Time::new(777)),
-            replacement.eta_plus(Time::new(777))
-        );
-        assert!(forked.cached_entries() > original.cached_entries());
     }
 
     #[test]

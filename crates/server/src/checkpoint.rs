@@ -46,6 +46,7 @@
 //! durable) are cross-checked against the checkpoint by content-hash
 //! ID, so a divergent history is detected rather than silently merged.
 
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -93,27 +94,48 @@ fn io_err<'a>(path: &'a Path, op: &'static str) -> impl FnOnce(std::io::Error) -
     }
 }
 
-/// Serializes a checkpoint image for entries `0..=base_seq`.
+/// Encodes the checkpoint image of `entries` — the log's entries seq
+/// `0..=base_seq`, in order — one framed record at a time, handing
+/// each to `sink`, and returns the image's length. The entries may be
+/// borrowed or built on the fly, so neither the image nor the log as
+/// [`LogEntry`]s ever has to be held whole.
 ///
-/// # Errors
-///
-/// Only when a single record exceeds the WAL's record bound.
-pub fn encode_image(generation: u64, entries: &[LogEntry]) -> Result<Vec<u8>, WalError> {
-    let base_seq = entries.last().map_or(0, |e| e.seq);
+/// Fails only when a single record exceeds the WAL's record bound, or
+/// with what `sink` returns.
+fn encode_records<I>(
+    generation: u64,
+    entries: I,
+    mut sink: impl FnMut(&[u8]) -> Result<(), WalError>,
+) -> Result<u64, WalError>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Borrow<LogEntry>,
+{
+    let entries = entries.into_iter();
+    let count = entries.len();
+    let base_seq = count.saturating_sub(1);
     let header = format!(
-        "{{\"v\":{FORMAT_VERSION},\"generation\":{generation},\"base_seq\":{base_seq},\"entries\":{}}}",
-        entries.len()
+        "{{\"v\":{FORMAT_VERSION},\"generation\":{generation},\"base_seq\":{base_seq},\"entries\":{count}}}"
     );
-    let mut image = encode_record(header.as_bytes())?;
+    let mut len = 0;
+    let mut put = |payload: &[u8]| {
+        let record = encode_record(payload)?;
+        len += record.len() as u64;
+        sink(&record)
+    };
+    put(header.as_bytes())?;
     for entry in entries {
-        image.extend_from_slice(&encode_record(entry.canonical_json().as_bytes())?);
+        put(entry.borrow().canonical_json().as_bytes())?;
     }
-    Ok(image)
+    Ok(len)
 }
 
-/// Writes generation `generation` covering `entries` (seq `0..=S`),
-/// following the crash-safe temp → fsync → rename → dir-fsync protocol,
-/// then prunes generations older than `generation - KEEP_GENERATIONS + 1`.
+/// Writes generation `generation` covering `entries` (seq `0..=S`, in
+/// order), following the crash-safe temp → fsync → rename → dir-fsync
+/// protocol, then prunes generations older than
+/// `generation - KEEP_GENERATIONS + 1`. The image is streamed into the
+/// temp file ([`Storage::write_from`]) as it is encoded.
 ///
 /// Does **not** touch the WAL — compaction is the caller's step, so a
 /// crash between the rename and the truncation leaves a recoverable
@@ -123,20 +145,37 @@ pub fn encode_image(generation: u64, entries: &[LogEntry]) -> Result<Vec<u8>, Wa
 ///
 /// On any storage failure; the session's WAL is untouched either way,
 /// so the caller can safely swallow the error and retry later.
-pub fn write(
+pub fn write<I>(
     storage: &Arc<dyn Storage>,
     data_dir: &Path,
     name: &str,
     generation: u64,
-    entries: &[LogEntry],
-) -> Result<u64, WalError> {
+    entries: I,
+) -> Result<u64, WalError>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Borrow<LogEntry>,
+{
     let _span = crate::trace::span("checkpoint_io");
-    let image = encode_image(generation, entries)?;
     let tmp = tmp_path(data_dir, name);
     let target = generation_path(data_dir, name, generation);
-    storage
-        .write(&tmp, &image)
-        .map_err(io_err(&tmp, "checkpoint_write"))?;
+    let mut entries = Some(entries);
+    let mut encoded = Ok(0);
+    let written = storage.write_from(&tmp, &mut |out| {
+        let entries = entries.take().expect("a storage fills a file once");
+        encoded = encode_records(generation, entries, |record| {
+            out.write_all(record)
+                .map_err(io_err(&tmp, "checkpoint_write"))
+        });
+        match &encoded {
+            Ok(_) => Ok(()),
+            Err(_) => Err(std::io::Error::other("checkpoint image not encoded")),
+        }
+    });
+    // An encoding or sink failure is the more precise error.
+    let len = encoded?;
+    written.map_err(io_err(&tmp, "checkpoint_write"))?;
     storage
         .sync(&tmp)
         .map_err(io_err(&tmp, "checkpoint_sync"))?;
@@ -155,7 +194,7 @@ pub fn write(
             }
         }
     }
-    Ok(image.len() as u64)
+    Ok(len)
 }
 
 /// Existing checkpoint generations for `name`, newest first.
@@ -396,8 +435,8 @@ mod tests {
     fn corrupt_newest_generation_falls_back_to_previous() {
         let (_, storage) = disk();
         let dir = Path::new("data");
-        write(&storage, dir, "s", 1, &entries(3)).expect("gen 1");
-        write(&storage, dir, "s", 2, &entries(5)).expect("gen 2");
+        write(&storage, dir, "s", 1, entries(3)).expect("gen 1");
+        write(&storage, dir, "s", 2, entries(5)).expect("gen 2");
         // Flip a bit in the middle of gen 2.
         let path = generation_path(dir, "s", 2);
         let mut bytes = storage.read(&path).expect("read");
@@ -462,7 +501,7 @@ mod tests {
         let (_, storage) = disk();
         let dir = Path::new("data");
         for generation in 1..=4 {
-            write(&storage, dir, "s", generation, &entries(generation)).expect("checkpoint");
+            write(&storage, dir, "s", generation, entries(generation)).expect("checkpoint");
         }
         let generations = list_generations(&storage, dir, "s").expect("list");
         assert_eq!(generations, vec![4, 3]);

@@ -42,6 +42,7 @@ pub mod core;
 pub mod event;
 pub mod flight;
 pub mod hash;
+mod history;
 pub mod net;
 pub mod queue;
 pub mod session;

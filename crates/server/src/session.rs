@@ -33,6 +33,7 @@ use hem_system::{
 use crate::checkpoint::{self, RecoveredLog};
 use crate::event::{entry_id, EventError, LogEntry, SessionEvent};
 use crate::hash::id_hex;
+use crate::history::History;
 use crate::storage::Storage;
 use crate::wal::{Wal, WalError};
 
@@ -209,7 +210,7 @@ pub struct Session {
     env: SessionEnv,
     name: String,
     wal: Wal,
-    entries: Vec<LogEntry>,
+    history: History,
     spec: SystemSpec,
     warm: Option<WarmStart>,
     materialized: Option<Materialized>,
@@ -264,14 +265,14 @@ impl Session {
                 env: env.clone(),
                 name: name.to_string(),
                 wal: recovered.wal,
-                entries: Vec::new(),
+                history: History::default(),
                 spec,
                 warm: None,
                 materialized: None,
                 next_generation: recovered.next_generation,
             };
             session.append_record(&entry)?;
-            session.entries.push(entry);
+            session.history.push(entry);
             Ok((session, RecoveryReport { replayed: 0, torn }))
         } else {
             let torn = recovered.torn;
@@ -282,14 +283,14 @@ impl Session {
                     scenario: scenario.to_string(),
                 },
             );
-            if session.entries[0].id != open_id {
+            if session.history.id(0) != open_id {
                 return Err(SessionError::Conflict {
                     seq: 0,
-                    stored: session.entries[0].id,
+                    stored: session.history.id(0),
                     got: open_id,
                 });
             }
-            let replayed = session.entries.len();
+            let replayed = session.history.len();
             Ok((session, RecoveryReport { replayed, torn }))
         }
     }
@@ -313,7 +314,7 @@ impl Session {
         }
         let torn = recovered.torn;
         let session = Self::from_recovered(env, name, recovered)?;
-        let replayed = session.entries.len();
+        let replayed = session.history.len();
         Ok(Some((session, RecoveryReport { replayed, torn })))
     }
 
@@ -343,11 +344,15 @@ impl Session {
         for entry in &entries[1..] {
             entry.event.apply(&mut spec)?;
         }
+        let mut history = History::default();
+        for entry in entries {
+            history.push(entry);
+        }
         Ok(Session {
             env: env.clone(),
             name: name.to_string(),
             wal,
-            entries,
+            history,
             spec,
             warm: None,
             materialized: None,
@@ -387,7 +392,7 @@ impl Session {
             &self.env.data_dir,
             &self.name,
             generation,
-            &self.entries,
+            self.history.entries(),
         )
         .is_err()
         {
@@ -412,14 +417,14 @@ impl Session {
     /// The position of the last applied entry.
     #[must_use]
     pub fn current_seq(&self) -> u64 {
-        (self.entries.len() - 1) as u64
+        (self.history.len() - 1) as u64
     }
 
     /// The content-hash ID of the opening entry — what an `open`
     /// request must match to count as an idempotent re-open.
     #[must_use]
     pub fn open_id(&self) -> u64 {
-        self.entries[0].id
+        self.history.id(0)
     }
 
     /// Appends a mutation, durably (WAL first) and idempotently.
@@ -438,20 +443,20 @@ impl Session {
         seq: Option<u64>,
         event: SessionEvent,
     ) -> Result<AppendOutcome, SessionError> {
-        let next = self.entries.len() as u64;
+        let next = self.history.len() as u64;
         let at = seq.unwrap_or(next);
         if at < next {
-            let stored = &self.entries[at as usize];
+            let stored = self.history.id(at as usize);
             let got = entry_id(at, &event);
-            return if stored.id == got {
+            return if stored == got {
                 Ok(AppendOutcome::Duplicate {
                     seq: at,
-                    id: stored.id,
+                    id: stored,
                 })
             } else {
                 Err(SessionError::Conflict {
                     seq: at,
-                    stored: stored.id,
+                    stored,
                     got,
                 })
             };
@@ -470,7 +475,7 @@ impl Session {
         self.append_record(&entry)?;
         self.spec = staged;
         let id = entry.id;
-        self.entries.push(entry);
+        self.history.push(entry);
         self.maybe_checkpoint();
         Ok(AppendOutcome::Applied { seq: at, id })
     }

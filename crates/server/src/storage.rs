@@ -59,6 +59,19 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     /// Creates or replaces the file with `data`. Not durable until
     /// [`Storage::sync`].
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
+    /// Creates or replaces the file with the bytes `fill` writes, as
+    /// one [`Storage::write`] (`fill` runs at most once). The default
+    /// collects the bytes and calls `write`; real storage streams them
+    /// to the file, so large content is never held whole in memory.
+    fn write_from(
+        &self,
+        path: &Path,
+        fill: &mut dyn FnMut(&mut dyn io::Write) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut data = Vec::new();
+        fill(&mut data)?;
+        self.write(path, &data)
+    }
     /// Forces the file's current content to stable storage (`fsync`).
     fn sync(&self, path: &Path) -> io::Result<()>;
     /// Truncates the file to `len` bytes.
@@ -104,6 +117,16 @@ impl Storage for RealStorage {
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         std::fs::write(path, data)
+    }
+
+    fn write_from(
+        &self,
+        path: &Path,
+        fill: &mut dyn FnMut(&mut dyn io::Write) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut file = io::BufWriter::new(File::create(path)?);
+        fill(&mut file)?;
+        file.flush()
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {

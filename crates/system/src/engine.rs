@@ -17,7 +17,7 @@ use hem_autosar_com::{ComFrame, Signal};
 use hem_can::{BusFrame, CanFrameConfig};
 use hem_core::HierarchicalEventModel;
 use hem_event_models::ops::OutputModel;
-use hem_event_models::{approx, CachedModel, EventModelExt, ModelRef};
+use hem_event_models::{approx, AnalyticCurve, CachedModel, EventModelExt, ModelRef};
 use hem_obs::{BufferedRecorder, ConvergenceTrace, Counter, IterationSnapshot, RtBound};
 use hem_time::Time;
 
@@ -25,7 +25,8 @@ use crate::diagnostics::{ConvergenceStatus, Diagnostics, StopReason};
 use crate::graph::{Level, PropagationLevels};
 use crate::pool::WorkerPool;
 use crate::result::{signal_key, SystemConfig, SystemResults};
-use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec, TaskSpec};
+use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec};
+use crate::warm::Replay;
 use crate::SystemError;
 
 /// Runs the global compositional analysis of a system.
@@ -129,32 +130,159 @@ pub(crate) enum RunOutcome {
     },
 }
 
+/// A resolved activation or outer stream, typed by how a warm start may
+/// reuse it in a later run.
+#[derive(Debug, Clone)]
+pub(crate) enum Resolved {
+    /// A closed-form lift: immutable, shared as-is.
+    Lifted(Arc<AnalyticCurve>),
+    /// A memoizing wrapper that reports to its run's recorder: a replay
+    /// forks it onto the replaying run's recorder.
+    Cached(Arc<CachedModel>),
+    /// Any other model (SEM fits): shared as-is.
+    Plain(ModelRef),
+}
+
+impl Resolved {
+    fn model(&self) -> ModelRef {
+        match self {
+            Resolved::Lifted(curve) => curve.clone(),
+            Resolved::Cached(cached) => cached.clone(),
+            Resolved::Plain(model) => model.clone(),
+        }
+    }
+}
+
+/// One global iteration's resolved models, indexed by spec position:
+/// the resolver's memo tables, moved out when the iteration completes.
+/// A slot is `None` when nothing resolved it that iteration (a frame
+/// whose processed HEM no one consumed) — and, in a capture, for every
+/// processed HEM but the converged iteration's.
+#[derive(Debug)]
+pub(crate) struct Resolution {
+    /// Activation model of `spec.tasks[i]`.
+    tasks: Vec<Option<Resolved>>,
+    /// Packed HEM of `spec.frames[j]`.
+    packed: Vec<Option<Arc<HierarchicalEventModel>>>,
+    /// Analysis outer stream of `spec.frames[j]`.
+    outer: Vec<Option<Resolved>>,
+    /// Processed HEM of `spec.frames[j]`.
+    processed: Vec<Option<Arc<HierarchicalEventModel>>>,
+}
+
+impl Resolution {
+    fn empty(spec: &SystemSpec) -> Self {
+        Resolution {
+            tasks: vec![None; spec.tasks.len()],
+            packed: vec![None; spec.frames.len()],
+            outer: vec![None; spec.frames.len()],
+            processed: vec![None; spec.frames.len()],
+        }
+    }
+
+    /// Swaps every lifted curve that is value-equal to `prev`'s curve
+    /// in the same slot for `prev`'s allocation, so a snapshot holds
+    /// one copy of a curve that stays put across iterations.
+    fn share_equal_curves(&mut self, prev: &Resolution) {
+        let slots = self.tasks.iter_mut().zip(&prev.tasks);
+        for (slot, prev) in slots.chain(self.outer.iter_mut().zip(&prev.outer)) {
+            if let (Some(Resolved::Lifted(curve)), Some(Resolved::Lifted(old))) = (&*slot, prev) {
+                if !Arc::ptr_eq(curve, old) && **curve == **old {
+                    *slot = Some(Resolved::Lifted(old.clone()));
+                }
+            }
+        }
+    }
+
+    /// The models a stopped run salvages: every resolved task
+    /// activation and frame input, keyed by name.
+    fn salvage(
+        &self,
+        spec: &SystemSpec,
+    ) -> (BTreeMap<String, ModelRef>, BTreeMap<String, ModelRef>) {
+        fn named<'s>(
+            names: impl Iterator<Item = &'s String>,
+            slots: &[Option<Resolved>],
+        ) -> BTreeMap<String, ModelRef> {
+            names
+                .zip(slots)
+                .filter_map(|(name, slot)| slot.as_ref().map(|r| (name.clone(), r.model())))
+                .collect()
+        }
+        (
+            named(spec.tasks.iter().map(|t| &t.name), &self.tasks),
+            named(spec.frames.iter().map(|f| &f.name), &self.outer),
+        )
+    }
+}
+
 /// Everything a converged run must record to seed a future warm start:
-/// the per-iteration result trajectory and the keyed shared curve
-/// caches of every iteration. Assembled into a
-/// [`WarmStart`](crate::warm::WarmStart) by [`crate::warm`].
+/// the per-iteration result trajectory and resolved models. Assembled
+/// into a [`WarmStart`](crate::warm::WarmStart) by [`crate::warm`].
 pub(crate) struct Capture {
     /// `(frame results, task results)` per completed global iteration.
     pub(crate) trajectory: Vec<(BTreeMap<String, TaskResult>, BTreeMap<String, TaskResult>)>,
-    /// Keyed curve caches (`act:<task>` / `outer:<frame>`) per
-    /// completed global iteration.
-    pub(crate) caches: Vec<BTreeMap<String, Arc<CachedModel>>>,
+    /// The resolved models of each completed global iteration.
+    pub(crate) resolutions: Vec<Resolution>,
 }
 
 /// The warm-start plan handed to the engine: which resources are
-/// outside the damage cone (prefixed keys `bus:<b>` / `cpu:<c>`) and
-/// the snapshot whose trajectory they replay.
+/// outside the damage cone, by spec position, and the snapshot they
+/// replay.
 pub(crate) struct EngineWarm<'w> {
-    pub(crate) clean: HashSet<String>,
+    /// Whether `spec.buses[b]` is outside the damage cone.
+    pub(crate) clean_buses: Vec<bool>,
+    /// Whether `spec.cpus[c]` is outside the damage cone.
+    pub(crate) clean_cpus: Vec<bool>,
     pub(crate) snapshot: &'w crate::warm::WarmStart,
 }
 
-/// One iteration's view of the warm-start plan: the clean-resource set
-/// plus the snapshot state replayed this iteration.
+/// One iteration's view of the warm-start plan: the clean-resource
+/// flags plus the snapshot state replayed this iteration.
 struct WarmIteration<'w> {
-    clean: &'w HashSet<String>,
-    frames: &'w BTreeMap<String, TaskResult>,
-    tasks: &'w BTreeMap<String, TaskResult>,
+    plan: &'w EngineWarm<'w>,
+    replay: Replay<'w>,
+}
+
+/// Name → spec-position lookups and per-resource entity lists, built
+/// once per run: the topology is fixed across global iterations.
+struct SpecIndex<'a> {
+    tasks: HashMap<&'a str, usize>,
+    frames: HashMap<&'a str, usize>,
+    buses: HashMap<&'a str, usize>,
+    cpus: HashMap<&'a str, usize>,
+    /// Frames of `spec.buses[b]`, in spec order.
+    bus_frames: Vec<Vec<usize>>,
+    /// Tasks of `spec.cpus[c]`, in spec order.
+    cpu_tasks: Vec<Vec<usize>>,
+}
+
+impl<'a> SpecIndex<'a> {
+    /// Indexes a validated spec (every task's CPU and every frame's bus
+    /// exists).
+    fn of(spec: &'a SystemSpec) -> Self {
+        fn positions<'a>(names: impl Iterator<Item = &'a str>) -> HashMap<&'a str, usize> {
+            names.enumerate().map(|(i, n)| (n, i)).collect()
+        }
+        let buses = positions(spec.buses.iter().map(|b| b.name.as_str()));
+        let cpus = positions(spec.cpus.iter().map(|c| c.name.as_str()));
+        let mut bus_frames = vec![Vec::new(); spec.buses.len()];
+        for (j, f) in spec.frames.iter().enumerate() {
+            bus_frames[buses[f.bus.as_str()]].push(j);
+        }
+        let mut cpu_tasks = vec![Vec::new(); spec.cpus.len()];
+        for (i, t) in spec.tasks.iter().enumerate() {
+            cpu_tasks[cpus[t.cpu.as_str()]].push(i);
+        }
+        SpecIndex {
+            tasks: positions(spec.tasks.iter().map(|t| t.name.as_str())),
+            frames: positions(spec.frames.iter().map(|f| f.name.as_str())),
+            buses,
+            cpus,
+            bus_frames,
+            cpu_tasks,
+        }
+    }
 }
 
 /// Per-entity growth tracking across global iterations, feeding the
@@ -276,11 +404,10 @@ struct IterationAccum {
 /// signals are merged in canonical submission order, so the outcome is
 /// bit-for-bit identical for every thread count.
 ///
-/// With a warm plan, resources outside the damage cone skip Phase 2
-/// (their busy-window jobs) and stage the snapshot's recorded results
-/// instead; Phase 1 still runs for them, so resolution side effects
-/// (packings, activation models, `packing_ops`) are identical to a
-/// from-scratch run.
+/// With a warm plan, resources outside the damage cone skip all three
+/// phases' work: the resolver was seeded with their recorded models, so
+/// Phase 1 resolves nothing for them, and Phase 3 stages their recorded
+/// results instead of Phase 2 jobs. An iteration costs O(damage cone).
 fn run_iteration(
     resolver: &mut Resolver<'_>,
     spec: &SystemSpec,
@@ -308,17 +435,17 @@ fn run_iteration(
     // engine would report (usually a `DependencyCycle` naming the same
     // entity). Warm starts refuse cyclic systems, so this path never
     // replays.
-    for frame in &spec.frames {
+    for (j, frame) in spec.frames.iter().enumerate() {
         if levels.cyclic_buses.contains(&frame.bus) {
             let result = resolver
-                .frame_result(&frame.name)
+                .frame_result(j)
                 .map_err(|e| IterationError::classify(e, "frame"))?;
             acc.frames.insert(frame.name.clone(), result);
         }
     }
     for cpu in &levels.cyclic_cpus {
         let tasks = resolver
-            .lower_cpu(cpu)
+            .lower_cpu(resolver.index.cpus[cpu.as_str()])
             .map_err(|e| IterationError::classify(e, "task"))?;
         for result in spp::analyze(&tasks, &config.local)
             .map_err(|e| IterationError::classify(SystemError::Analysis(e), "task"))?
@@ -361,51 +488,56 @@ fn run_level(
     warm: Option<&WarmIteration<'_>>,
     acc: &mut IterationAccum,
 ) -> Result<(), IterationError> {
-    let is_clean =
-        |kind: &str, name: &str| warm.is_some_and(|w| w.clean.contains(&format!("{kind}:{name}")));
+    let index = resolver.index;
+    let spec = resolver.spec;
 
-    // Phase 1 — sequential resolution. Clean resources resolve too:
-    // their packings, activation models, and forked curve caches feed
-    // dirty downstream entities, and the resolution side effects
-    // (`packing_ops`) stay identical to a from-scratch run.
+    // Phase 1 — sequential resolution of the dirty resources (`None`
+    // marks a clean one). A clean resource's models were seeded from
+    // the snapshot, so it resolves, lifts, and packs nothing here; its
+    // seeded packings count towards `packing_ops` at the same point a
+    // from-scratch run would pack them.
     let mut bus_sets = Vec::with_capacity(level.buses.len());
     for bus in &level.buses {
-        let (names, tasks) = resolver
-            .lower_bus(bus)
-            .map_err(|e| IterationError::classify(e, "frame"))?;
-        let clean = is_clean("bus", bus);
-        bus_sets.push((bus.clone(), names, Arc::new(tasks), clean));
+        let b = index.buses[bus.as_str()];
+        let tasks = if warm.is_some_and(|w| w.plan.clean_buses[b]) {
+            resolver.count_replayed_packings(b);
+            None
+        } else {
+            let tasks = resolver
+                .lower_bus(b)
+                .map_err(|e| IterationError::classify(e, "frame"))?;
+            Some(Arc::new(tasks))
+        };
+        bus_sets.push((b, tasks));
     }
     let mut cpu_sets = Vec::with_capacity(level.cpus.len());
     for cpu in &level.cpus {
-        let tasks = resolver
-            .lower_cpu(cpu)
-            .map_err(|e| IterationError::classify(e, "task"))?;
-        cpu_sets.push((Arc::new(tasks), is_clean("cpu", cpu)));
+        let c = index.cpus[cpu.as_str()];
+        let tasks = if warm.is_some_and(|w| w.plan.clean_cpus[c]) {
+            None
+        } else {
+            let tasks = resolver
+                .lower_cpu(c)
+                .map_err(|e| IterationError::classify(e, "task"))?;
+            Some(Arc::new(tasks))
+        };
+        cpu_sets.push((c, tasks));
     }
 
-    // Phase 2 — one busy-window job per entity, in canonical order:
-    // every frame of every bus, then every task of every CPU. Entities
-    // on clean resources submit no job — their results replay in
-    // Phase 3.
+    // Phase 2 — one busy-window job per dirty entity, in canonical
+    // order: every frame of every bus, then every task of every CPU.
     let mut jobs: Vec<EntityJob> = Vec::new();
     let mut buffers: Vec<Option<Arc<BufferedRecorder>>> = Vec::new();
     let mut kinds: Vec<&'static str> = Vec::new();
-    for (_, names, tasks, clean) in &bus_sets {
-        if *clean {
-            continue;
-        }
-        for i in 0..names.len() {
+    for tasks in bus_sets.iter().filter_map(|(_, t)| t.as_ref()) {
+        for i in 0..tasks.len() {
             let local = job_local(config, &mut buffers);
             let tasks = tasks.clone();
             kinds.push("frame");
             jobs.push(Box::new(move || spnp::analyze_one(&tasks, i, &local)));
         }
     }
-    for (tasks, clean) in &cpu_sets {
-        if *clean {
-            continue;
-        }
+    for tasks in cpu_sets.iter().filter_map(|(_, t)| t.as_ref()) {
         for i in 0..tasks.len() {
             let local = job_local(config, &mut buffers);
             let tasks = tasks.clone();
@@ -430,45 +562,37 @@ fn run_level(
             *slot = Some(IterationError::classify(SystemError::Analysis(e), kind));
         }
     };
+    let replayed = |results: &'_ BTreeMap<String, TaskResult>, name: &str| -> TaskResult {
+        results
+            .get(name)
+            .expect("warm snapshot covers every entity of an unchanged topology")
+            .clone()
+    };
     let mut hits = 0u64;
-    let mut staged_buses: Vec<(String, BTreeMap<String, TaskResult>)> = Vec::new();
-    for (bus, names, _, clean) in bus_sets {
-        let mut map = BTreeMap::new();
-        for name in names {
-            if clean {
-                let replay = warm.expect("clean flags imply a warm plan");
-                let result = replay
-                    .frames
-                    .get(&name)
-                    .expect("warm snapshot covers every frame of an unchanged topology");
-                map.insert(name, result.clone());
+    let mut staged_frames: Vec<(usize, TaskResult)> = Vec::new();
+    for (b, tasks) in &bus_sets {
+        for &j in &index.bus_frames[*b] {
+            if tasks.is_none() {
+                let w = warm.expect("clean flags imply a warm plan");
+                staged_frames.push((j, replayed(w.replay.frames, &spec.frames[j].name)));
                 hits += 1;
                 continue;
             }
             match results.next().expect("one outcome per frame job") {
-                (Ok(result), _) => {
-                    map.insert(name, result);
-                }
+                (Ok(result), _) => staged_frames.push((j, result)),
                 (Err(e), kind) => record_err(e, kind, &mut first_err),
             }
         }
-        staged_buses.push((bus, map));
     }
     let mut staged_tasks: Vec<TaskResult> = Vec::new();
-    for (tasks, clean) in &cpu_sets {
-        if *clean {
-            let replay = warm.expect("clean flags imply a warm plan");
-            for task in tasks.iter() {
-                let result = replay
-                    .tasks
-                    .get(&task.name)
-                    .expect("warm snapshot covers every task of an unchanged topology");
-                staged_tasks.push(result.clone());
+    for (c, tasks) in &cpu_sets {
+        for &i in &index.cpu_tasks[*c] {
+            if tasks.is_none() {
+                let w = warm.expect("clean flags imply a warm plan");
+                staged_tasks.push(replayed(w.replay.tasks, &spec.tasks[i].name));
                 hits += 1;
+                continue;
             }
-            continue;
-        }
-        for _ in 0..tasks.len() {
             match results.next().expect("one outcome per task job") {
                 (Ok(result), _) => staged_tasks.push(result),
                 (Err(e), kind) => record_err(e, kind, &mut first_err),
@@ -482,11 +606,10 @@ fn run_level(
     if let Some(err) = first_err {
         return Err(err);
     }
-    for (bus, map) in staged_buses {
-        for (name, result) in &map {
-            acc.frames.insert(name.clone(), result.clone());
-        }
-        resolver.insert_bus_results(bus, map);
+    for (j, result) in staged_frames {
+        acc.frames
+            .insert(spec.frames[j].name.clone(), result.clone());
+        resolver.frame_results[j] = Some(result);
     }
     for result in staged_tasks {
         acc.tasks.insert(result.name.clone(), result);
@@ -532,11 +655,14 @@ impl IterationError {
 }
 
 fn run(spec: &SystemSpec, config: &SystemConfig) -> Result<RunOutcome, SystemError> {
-    run_with(spec, config, None, false).map(|(outcome, _, _)| outcome)
+    validate(spec)?;
+    let levels = PropagationLevels::of(spec);
+    run_with(spec, config, &levels, None, false).map(|(outcome, _, _)| outcome)
 }
 
-/// The full engine loop, optionally replaying a warm-start plan and/or
-/// capturing the run's trajectory for a future warm start.
+/// The full engine loop over a validated spec and its propagation
+/// levels, optionally replaying a warm-start plan and/or capturing the
+/// run's trajectory for a future warm start.
 ///
 /// Returns the outcome, the capture (`Some` only when `capture` is set
 /// **and** the run converged — a stopped run's trajectory is not a
@@ -545,13 +671,13 @@ fn run(spec: &SystemSpec, config: &SystemConfig) -> Result<RunOutcome, SystemErr
 pub(crate) fn run_with(
     spec: &SystemSpec,
     config: &SystemConfig,
+    levels: &PropagationLevels,
     warm: Option<&EngineWarm<'_>>,
     capture: bool,
 ) -> Result<(RunOutcome, Option<Capture>, u64), SystemError> {
-    validate(spec)?;
-    // The propagation graph is a property of the topology, not of the
-    // iteration state: level it once, spin the pool up once.
-    let levels = PropagationLevels::of(spec);
+    // The topology is fixed across iterations: index it once, spin the
+    // pool up once.
+    let index = SpecIndex::of(spec);
     let pool = WorkerPool::new(config.resolved_threads());
     let started = Instant::now();
     let recorder = config.local.recorder.clone();
@@ -561,19 +687,17 @@ pub(crate) fn run_with(
     let mut frame_rt: BTreeMap<String, ResponseTime> = BTreeMap::new();
 
     // Degradation state: last two completed response-time vectors, last
-    // completed per-entity results, growth tracks, salvaged models.
+    // completed per-entity results, growth tracks. The resolved models
+    // of completed iterations are kept too — all of them when capturing,
+    // else only the last, whose models a stopped run salvages.
     let mut prev_rt_vec: BTreeMap<String, ResponseTime> = BTreeMap::new();
     let mut last_rt_vec: BTreeMap<String, ResponseTime> = BTreeMap::new();
     let mut last_task_results: BTreeMap<String, TaskResult> = BTreeMap::new();
     let mut last_frame_results: BTreeMap<String, TaskResult> = BTreeMap::new();
     let mut tracks: BTreeMap<String, Track> = BTreeMap::new();
-    let mut salvaged_activations: BTreeMap<String, ModelRef> = BTreeMap::new();
-    let mut salvaged_frame_inputs: BTreeMap<String, ModelRef> = BTreeMap::new();
+    let mut resolutions: Vec<Resolution> = Vec::new();
+    let mut trajectory = Vec::new();
     let mut completed = 0u64;
-    let mut captured = capture.then(|| Capture {
-        trajectory: Vec::new(),
-        caches: Vec::new(),
-    });
     let mut replayed_total = 0u64;
 
     let stopped = |stop: StopReason,
@@ -584,8 +708,7 @@ pub(crate) fn run_with(
                    last_frame_results: BTreeMap<String, TaskResult>,
                    last_rt_vec: BTreeMap<String, ResponseTime>,
                    prev_rt_vec: BTreeMap<String, ResponseTime>,
-                   salvaged_activations: BTreeMap<String, ModelRef>,
-                   salvaged_frame_inputs: BTreeMap<String, ModelRef>| {
+                   last_resolution: Option<&Resolution>| {
         let failed_entity = match &stop {
             StopReason::LocalAnalysisFailed { entity, .. } => Some(entity.clone()),
             _ => None,
@@ -635,6 +758,8 @@ pub(crate) fn run_with(
             })
             .or_else(|| diverging.first().cloned());
         let suspected_bottleneck = suspect.and_then(|e| hosting_resource(spec, &e));
+        let (task_activations, frame_inputs) =
+            last_resolution.map(|r| r.salvage(spec)).unwrap_or_default();
         RunOutcome::Stopped {
             partial: SystemResults {
                 mode: config.mode,
@@ -644,8 +769,8 @@ pub(crate) fn run_with(
                 frame_results: last_frame_results,
                 task_convergence,
                 frame_convergence,
-                task_activations: salvaged_activations,
-                frame_inputs: salvaged_frame_inputs,
+                task_activations,
+                frame_inputs,
                 frame_outputs: BTreeMap::new(),
                 unpacked_signals: BTreeMap::new(),
             },
@@ -674,32 +799,26 @@ pub(crate) fn run_with(
                     last_frame_results,
                     last_rt_vec,
                     prev_rt_vec,
-                    salvaged_activations,
-                    salvaged_frame_inputs,
+                    resolutions.last(),
                 ),
                 None,
                 replayed_total,
             ));
         }
         let iter_span = recorder.span("global_iteration", "engine");
-        let replay = warm.map(|w| (w, w.snapshot.replay(iteration)));
-        let mut resolver = Resolver::new(
-            spec,
-            config,
-            &task_rt,
-            replay.as_ref().map(|(w, _)| &w.clean),
-            replay.as_ref().map(|(_, r)| r.caches),
-        );
-        let warm_iter = replay.as_ref().map(|(w, r)| WarmIteration {
-            clean: &w.clean,
-            frames: r.frames,
-            tasks: r.tasks,
+        let warm_iter = warm.map(|plan| WarmIteration {
+            plan,
+            replay: plan.snapshot.replay(iteration),
         });
+        let mut resolver = Resolver::new(spec, config, &index, &task_rt);
+        if let Some(w) = &warm_iter {
+            resolver.seed(w);
+        }
         let iteration_outcome = run_iteration(
             &mut resolver,
             spec,
             config,
-            &levels,
+            levels,
             &pool,
             warm_iter.as_ref(),
         );
@@ -722,8 +841,7 @@ pub(crate) fn run_with(
                         last_frame_results,
                         last_rt_vec,
                         prev_rt_vec,
-                        salvaged_activations,
-                        salvaged_frame_inputs,
+                        resolutions.last(),
                     ),
                     None,
                     replayed_total,
@@ -740,8 +858,7 @@ pub(crate) fn run_with(
                         last_frame_results,
                         last_rt_vec,
                         prev_rt_vec,
-                        salvaged_activations,
-                        salvaged_frame_inputs,
+                        resolutions.last(),
                     ),
                     None,
                     replayed_total,
@@ -756,10 +873,8 @@ pub(crate) fn run_with(
         completed = iteration;
         replayed_total += replayed;
         recorder.add(Counter::GlobalIterations, 1);
-        if let Some(cap) = captured.as_mut() {
-            cap.trajectory
-                .push((new_frame_results.clone(), new_task_results.clone()));
-            cap.caches.push(resolver.keyed_caches());
+        if capture {
+            trajectory.push((new_frame_results.clone(), new_task_results.clone()));
         }
 
         let new_task_rt: BTreeMap<String, ResponseTime> = new_task_results
@@ -777,17 +892,17 @@ pub(crate) fn run_with(
         if new_task_rt == task_rt && new_frame_rt == frame_rt {
             // Fixed point: assemble results from the final resolver state.
             let mut task_activations = BTreeMap::new();
-            for t in &spec.tasks {
-                task_activations.insert(t.name.clone(), resolver.task_activation(&t.name)?);
+            for (i, t) in spec.tasks.iter().enumerate() {
+                task_activations.insert(t.name.clone(), resolver.task_activation(i)?);
             }
             let mut frame_inputs = BTreeMap::new();
             let mut frame_outputs = BTreeMap::new();
             let mut unpacked_signals = BTreeMap::new();
-            for f in &spec.frames {
-                frame_inputs.insert(f.name.clone(), resolver.analysis_outer(&f.name)?);
-                frame_outputs.insert(f.name.clone(), resolver.frame_output(&f.name)?);
+            for (j, f) in spec.frames.iter().enumerate() {
+                frame_inputs.insert(f.name.clone(), resolver.analysis_outer(j)?);
+                frame_outputs.insert(f.name.clone(), resolver.frame_output(j)?);
                 if config.mode == AnalysisMode::Hierarchical {
-                    let processed = resolver.processed_hem(&f.name)?;
+                    let processed = resolver.processed_hem(j)?;
                     for s in &f.signals {
                         if let Some(m) = processed.unpack_by_name(&s.name) {
                             unpacked_signals.insert(signal_key(&f.name, &s.name), m);
@@ -798,6 +913,13 @@ pub(crate) fn run_with(
             // Assembly may have touched caches (e.g. a frame no task
             // consumes): flush again before the results escape.
             resolver.flush_caches();
+            let captured = capture.then(|| {
+                push_resolution(&mut resolutions, resolver.tables, true);
+                Capture {
+                    trajectory,
+                    resolutions,
+                }
+            });
             let task_convergence = spec
                 .tasks
                 .iter()
@@ -847,16 +969,7 @@ pub(crate) fn run_with(
         prev_rt_vec = std::mem::replace(&mut last_rt_vec, new_rt_vec);
         last_task_results = new_task_results;
         last_frame_results = new_frame_results;
-        salvaged_activations = resolver
-            .task_activation
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        salvaged_frame_inputs = resolver
-            .analysis_outer
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        push_resolution(&mut resolutions, resolver.tables, capture);
         if config.divergence_streak > 0 {
             if let Some((key, track)) = tracks
                 .iter()
@@ -877,8 +990,7 @@ pub(crate) fn run_with(
                         last_frame_results,
                         last_rt_vec,
                         prev_rt_vec,
-                        salvaged_activations,
-                        salvaged_frame_inputs,
+                        resolutions.last(),
                     ),
                     None,
                     replayed_total,
@@ -899,37 +1011,48 @@ pub(crate) fn run_with(
             last_frame_results,
             last_rt_vec,
             prev_rt_vec,
-            salvaged_activations,
-            salvaged_frame_inputs,
+            resolutions.last(),
         ),
         None,
         replayed_total,
     ))
 }
 
+/// Appends a completed iteration's resolved models: when capturing, to
+/// the full history, else replacing the previous iteration's.
+///
+/// A capture shares curves that did not change since the previous
+/// iteration, and drops the previous iteration's processed HEMs: a
+/// replay needs them only for dirty consumers of a clean frame, which
+/// rebuild them from the recorded packing and result, while the
+/// converged iteration's feed the results of every replaying run.
+fn push_resolution(resolutions: &mut Vec<Resolution>, mut resolution: Resolution, capture: bool) {
+    if !capture {
+        resolutions.clear();
+    } else if let Some(prev) = resolutions.last_mut() {
+        resolution.share_equal_curves(prev);
+        prev.processed.iter_mut().for_each(|p| *p = None);
+    }
+    resolutions.push(resolution);
+}
+
 /// Per-iteration lazy evaluator with memoization and cycle detection.
 struct Resolver<'a> {
     spec: &'a SystemSpec,
     config: &'a SystemConfig,
+    index: &'a SpecIndex<'a>,
     prev_task_rt: &'a BTreeMap<String, ResponseTime>,
-    tasks: HashMap<&'a str, &'a TaskSpec>,
-    frames: HashMap<&'a str, &'a FrameSpec>,
-    task_activation: HashMap<String, ModelRef>,
-    packed: HashMap<String, HierarchicalEventModel>,
-    analysis_outer: HashMap<String, ModelRef>,
-    processed: HashMap<String, HierarchicalEventModel>,
-    bus_results: HashMap<String, BTreeMap<String, TaskResult>>,
-    visiting: HashSet<String>,
-    /// Every shared curve cache created this iteration, keyed
-    /// (`act:<task>` / `outer:<frame>`), in creation order — the engine
-    /// flushes their buffered hit/miss counters at deterministic points
-    /// and captures them for warm-start reuse.
-    caches: Vec<(String, Arc<CachedModel>)>,
-    /// Resources outside the damage cone of a warm-started run.
-    warm_clean: Option<&'a HashSet<String>>,
-    /// The snapshot's keyed curve caches for this iteration, forked
-    /// into clean entities' caches so memoized curve points carry over.
-    warm_caches: Option<&'a BTreeMap<String, Arc<CachedModel>>>,
+    /// The memo tables: this iteration's resolved models, moved out
+    /// when the iteration completes (for salvage or warm-start capture).
+    tables: Resolution,
+    /// This iteration's bus-analysis result of `spec.frames[j]`.
+    frame_results: Vec<Option<TaskResult>>,
+    visiting_tasks: Vec<bool>,
+    visiting_frames: Vec<bool>,
+    /// Every shared curve cache created (or forked) this iteration, in
+    /// creation order — the engine flushes their buffered hit/miss
+    /// counters at deterministic points.
+    caches: Vec<Arc<CachedModel>>,
     /// Whether resolved models are swapped for closed-form analytic
     /// curves (resolved once per iteration from the config).
     analytic: bool,
@@ -939,122 +1062,165 @@ impl<'a> Resolver<'a> {
     fn new(
         spec: &'a SystemSpec,
         config: &'a SystemConfig,
+        index: &'a SpecIndex<'a>,
         prev_task_rt: &'a BTreeMap<String, ResponseTime>,
-        warm_clean: Option<&'a HashSet<String>>,
-        warm_caches: Option<&'a BTreeMap<String, Arc<CachedModel>>>,
     ) -> Self {
         Resolver {
             spec,
             config,
+            index,
             prev_task_rt,
-            tasks: spec.tasks.iter().map(|t| (t.name.as_str(), t)).collect(),
-            frames: spec.frames.iter().map(|f| (f.name.as_str(), f)).collect(),
-            task_activation: HashMap::new(),
-            packed: HashMap::new(),
-            analysis_outer: HashMap::new(),
-            processed: HashMap::new(),
-            bus_results: HashMap::new(),
-            visiting: HashSet::new(),
+            tables: Resolution::empty(spec),
+            frame_results: vec![None; spec.frames.len()],
+            visiting_tasks: vec![false; spec.tasks.len()],
+            visiting_frames: vec![false; spec.frames.len()],
             caches: Vec::new(),
-            warm_clean,
-            warm_caches,
             analytic: config.analytic_enabled(),
         }
     }
 
-    /// Swaps `model` for its closed-form analytic curve when an exact
+    /// Seeds every entity on a clean resource with the snapshot's
+    /// resolved models for this iteration. Outside the damage cone the
+    /// models are bit-identical to what resolution would rebuild, so
+    /// the iteration never resolves, lifts, or packs them; dirty
+    /// resources read them from the tables like any resolved model.
+    /// Memoizing wrappers are forked onto this run's recorder, so their
+    /// cache traffic is this run's; everything else is shared.
+    fn seed(&mut self, warm: &WarmIteration<'_>) {
+        let record = warm.replay.resolution;
+        let index = self.index;
+        let clean_cpus = index.cpu_tasks.iter().zip(&warm.plan.clean_cpus);
+        for (tasks, _) in clean_cpus.filter(|(_, &clean)| clean) {
+            for &i in tasks {
+                self.tables.tasks[i] = record.tasks[i].as_ref().map(|r| self.replayed(r));
+            }
+        }
+        let clean_buses = index.bus_frames.iter().zip(&warm.plan.clean_buses);
+        for (frames, _) in clean_buses.filter(|(_, &clean)| clean) {
+            for &j in frames {
+                self.tables.packed[j] = record.packed[j].clone();
+                self.tables.outer[j] = record.outer[j].as_ref().map(|r| self.replayed(r));
+                self.tables.processed[j] = record.processed[j].clone();
+            }
+        }
+    }
+
+    /// A recorded model as this run uses it.
+    fn replayed(&mut self, recorded: &Resolved) -> Resolved {
+        match recorded {
+            Resolved::Cached(cached) => {
+                let fork = cached.fork(self.config.local.recorder.clone());
+                Resolved::Cached(self.cache(fork))
+            }
+            shared => shared.clone(),
+        }
+    }
+
+    /// Counts the seeded packings of clean bus `b` towards
+    /// `packing_ops`: replayed packings enter the iteration's state as
+    /// computed ones do, so warm and cold runs count alike.
+    fn count_replayed_packings(&self, b: usize) {
+        let packed = self.index.bus_frames[b]
+            .iter()
+            .filter(|&&j| self.tables.packed[j].is_some())
+            .count() as u64;
+        if packed > 0 {
+            self.config.local.recorder.add(Counter::PackingOps, packed);
+        }
+    }
+
+    /// Returns the closed-form analytic curve of `model` when an exact
     /// lift exists (see `docs/CURVES.md`). Results are bit-for-bit
     /// identical either way — the lift only changes how queries are
     /// answered. Runs during sequential resolution, so the lift /
-    /// fallback tallies are deterministic at every thread count. The
-    /// returned flag says whether the swap happened, so call sites can
-    /// skip the memoizing cache wrapper: a curve already answers every
-    /// query with an O(1) head lookup, and a hash-and-lock layer on top
-    /// of that only costs time.
-    fn analytic_lift(&self, model: ModelRef) -> (ModelRef, bool) {
+    /// fallback tallies are deterministic at every thread count. Call
+    /// sites skip the memoizing cache wrapper for a lifted curve: it
+    /// already answers every query with an O(1) head lookup, and a
+    /// hash-and-lock layer on top of that only costs time.
+    fn analytic_lift(&self, model: &ModelRef) -> Option<Arc<AnalyticCurve>> {
         if !self.analytic {
-            return (model, false);
+            return None;
         }
         let recorder = &self.config.local.recorder;
         match model.analytic() {
             Some(curve) => {
                 recorder.add(Counter::AnalyticLifts, 1);
-                (curve.shared(), true)
+                Some(Arc::new(curve))
             }
             None => {
                 recorder.add(Counter::AnalyticFallbacks, 1);
-                (model, false)
+                None
             }
         }
     }
 
     /// Registers a shared curve cache for the deterministic counter
-    /// flush (and warm-start capture) and returns it as a model.
-    fn cache(&mut self, key: String, cached: CachedModel) -> ModelRef {
+    /// flush and returns it.
+    fn cache(&mut self, cached: CachedModel) -> Arc<CachedModel> {
         let cached = Arc::new(cached);
-        self.caches.push((key, cached.clone()));
+        self.caches.push(cached.clone());
         cached
-    }
-
-    /// The snapshot's cache for `key`, but only when `resource` is
-    /// outside the damage cone — a dirty entity's memoized curve points
-    /// may describe the wrong model.
-    fn retained(&self, key: &str, resource: &str) -> Option<&Arc<CachedModel>> {
-        let clean = self.warm_clean?;
-        if !clean.contains(resource) {
-            return None;
-        }
-        self.warm_caches?.get(key)
     }
 
     /// Flushes every curve cache's buffered hit/miss counters to the
     /// recorder, in cache-creation order.
     fn flush_caches(&self) {
-        for (_, cache) in &self.caches {
+        for cache in &self.caches {
             cache.flush_recorded();
         }
     }
 
-    /// This iteration's curve caches, keyed, for warm-start capture.
-    fn keyed_caches(&self) -> BTreeMap<String, Arc<CachedModel>> {
-        self.caches.iter().cloned().collect()
+    fn task_index(&self, name: &str) -> Result<usize, SystemError> {
+        self.index
+            .tasks
+            .get(name)
+            .copied()
+            .ok_or_else(|| SystemError::UnknownReference {
+                kind: "task",
+                name: name.to_string(),
+            })
     }
 
-    /// The frame-activation stream as the bus analysis sees it: the
-    /// packed outer stream, SEM-fitted under [`AnalysisMode::FlatSem`].
-    fn analysis_outer(&mut self, name: &str) -> Result<ModelRef, SystemError> {
-        if let Some(m) = self.analysis_outer.get(name) {
-            return Ok(m.clone());
+    fn frame_index(&self, name: &str) -> Result<usize, SystemError> {
+        self.index
+            .frames
+            .get(name)
+            .copied()
+            .ok_or_else(|| SystemError::UnknownReference {
+                kind: "frame",
+                name: name.to_string(),
+            })
+    }
+
+    /// The frame-activation stream of `spec.frames[j]` as the bus
+    /// analysis sees it: the packed outer stream, SEM-fitted under
+    /// [`AnalysisMode::FlatSem`].
+    fn analysis_outer(&mut self, j: usize) -> Result<ModelRef, SystemError> {
+        if let Some(m) = &self.tables.outer[j] {
+            return Ok(m.model());
         }
-        let outer = self.packed_hem(name)?.flatten();
-        let (outer, lifted) = self.analytic_lift(outer);
-        let model = match self.config.mode {
-            // Lifted streams skip the cache: every query is already an
-            // O(1) lookup. Busy-window iterations hammer the same
-            // η⁺/δ⁻ queries on the lazy OR-join: memoize. On a warm
-            // start, a clean frame's cache carries the snapshot's
-            // memoized curve points over (forked onto this iteration's
-            // model so misses evaluate fresh state).
-            AnalysisMode::Flat | AnalysisMode::Hierarchical if lifted => outer,
-            AnalysisMode::Flat | AnalysisMode::Hierarchical => {
-                let recorder = self.config.local.recorder.clone();
-                let cache_key = format!("outer:{name}");
-                let resource = self
-                    .frames
-                    .get(name)
-                    .map(|f| format!("bus:{}", f.bus))
-                    .unwrap_or_default();
-                let cached = match self.retained(&cache_key, &resource) {
-                    Some(prev) => prev.fork_onto(outer, recorder),
-                    None => CachedModel::recorded(outer, recorder),
-                };
-                self.cache(cache_key, cached)
+        let outer = self.packed_hem(j)?.flatten();
+        let lifted = self.analytic_lift(&outer);
+        let resolved = match (self.config.mode, lifted) {
+            (AnalysisMode::FlatSem, lifted) => {
+                let outer = lifted.map_or(outer, |curve| curve as ModelRef);
+                Resolved::Plain(
+                    approx::sem_approximation(outer.as_ref(), self.config.sem_fit_horizon)?
+                        .shared(),
+                )
             }
-            AnalysisMode::FlatSem => {
-                approx::sem_approximation(outer.as_ref(), self.config.sem_fit_horizon)?.shared()
+            // Lifted streams skip the cache: every query is already an
+            // O(1) lookup.
+            (_, Some(curve)) => Resolved::Lifted(curve),
+            // Busy-window iterations hammer the same η⁺/δ⁻ queries on
+            // the lazy OR-join: memoize.
+            (_, None) => {
+                let recorder = self.config.local.recorder.clone();
+                Resolved::Cached(self.cache(CachedModel::recorded(outer, recorder)))
             }
         };
-        self.analysis_outer.insert(name.to_string(), model.clone());
+        let model = resolved.model();
+        self.tables.outer[j] = Some(resolved);
         Ok(model)
     }
 
@@ -1065,29 +1231,17 @@ impl<'a> Resolver<'a> {
             .unwrap_or(ResponseTime::new(Time::ZERO, Time::ZERO))
     }
 
-    fn enter(&mut self, key: String) -> Result<String, SystemError> {
-        if !self.visiting.insert(key.clone()) {
-            return Err(SystemError::DependencyCycle {
-                name: key
-                    .split_once(':')
-                    .map(|(_, n)| n.to_string())
-                    .unwrap_or(key),
-            });
-        }
-        Ok(key)
-    }
-
     fn resolve_source(&mut self, source: &ActivationSpec) -> Result<ModelRef, SystemError> {
         match source {
             ActivationSpec::External(model) => Ok(model.clone()),
             ActivationSpec::TaskOutput(task) => {
-                let input = self.task_activation(task)?;
+                let input = self.task_activation(self.task_index(task)?)?;
                 let rt = self.prev_rt(task);
                 Ok(OutputModel::new(input, rt.r_minus, rt.r_plus)?.shared())
             }
             ActivationSpec::Signal { frame, signal } => match self.config.mode {
                 AnalysisMode::Hierarchical => {
-                    let processed = self.processed_hem(frame)?;
+                    let processed = self.processed_hem(self.frame_index(frame)?)?;
                     let unpacked = processed.unpack_by_name(signal).ok_or_else(|| {
                         SystemError::UnknownReference {
                             kind: "signal",
@@ -1100,9 +1254,11 @@ impl<'a> Resolver<'a> {
                         unpacked
                     })
                 }
-                AnalysisMode::Flat | AnalysisMode::FlatSem => self.frame_output(frame),
+                AnalysisMode::Flat | AnalysisMode::FlatSem => {
+                    self.frame_output(self.frame_index(frame)?)
+                }
             },
-            ActivationSpec::FrameArrivals(frame) => self.frame_output(frame),
+            ActivationSpec::FrameArrivals(frame) => self.frame_output(self.frame_index(frame)?),
             ActivationSpec::AnyOf(sources) => {
                 let models = sources
                     .iter()
@@ -1120,51 +1276,44 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    fn task_activation(&mut self, name: &str) -> Result<ModelRef, SystemError> {
-        if let Some(m) = self.task_activation.get(name) {
-            return Ok(m.clone());
+    /// The activation model of `spec.tasks[i]`.
+    fn task_activation(&mut self, i: usize) -> Result<ModelRef, SystemError> {
+        if let Some(m) = &self.tables.tasks[i] {
+            return Ok(m.model());
         }
-        let task = *self.tasks.get(name).ok_or(SystemError::UnknownReference {
-            kind: "task",
-            name: name.to_string(),
-        })?;
-        let key = self.enter(format!("task:{name}"))?;
-        let activation = task.activation.clone();
-        let resource = format!("cpu:{}", task.cpu);
-        // Memoized: CPU busy windows evaluate the activation stream many
-        // times per fixed-point iteration. On a warm start, a clean
-        // task's cache carries the snapshot's memoized curve points
-        // over. Resolution still runs either way — its side effects
-        // (packings, `packing_ops`) must match a from-scratch run.
-        let resolved = self.resolve_source(&activation)?;
-        let (resolved, lifted) = self.analytic_lift(resolved);
-        let model = if lifted {
-            // O(1) curve queries: a memoizing wrapper would only add
-            // hash-and-lock overhead on top of a head lookup.
-            resolved
-        } else {
-            let recorder = self.config.local.recorder.clone();
-            let cache_key = format!("act:{name}");
-            let cached = match self.retained(&cache_key, &resource) {
-                Some(prev) => prev.fork_onto(resolved, recorder),
-                None => CachedModel::recorded(resolved, recorder),
-            };
-            self.cache(cache_key, cached)
+        let task = &self.spec.tasks[i];
+        if std::mem::replace(&mut self.visiting_tasks[i], true) {
+            return Err(SystemError::DependencyCycle {
+                name: task.name.clone(),
+            });
+        }
+        let resolved = self.resolve_source(&task.activation)?;
+        let resolved = match self.analytic_lift(&resolved) {
+            Some(curve) => Resolved::Lifted(curve),
+            // Memoized: CPU busy windows evaluate the activation stream
+            // many times per fixed-point iteration.
+            None => {
+                let recorder = self.config.local.recorder.clone();
+                Resolved::Cached(self.cache(CachedModel::recorded(resolved, recorder)))
+            }
         };
-        self.visiting.remove(&key);
-        self.task_activation.insert(name.to_string(), model.clone());
+        self.visiting_tasks[i] = false;
+        let model = resolved.model();
+        self.tables.tasks[i] = Some(resolved);
         Ok(model)
     }
 
-    fn packed_hem(&mut self, name: &str) -> Result<HierarchicalEventModel, SystemError> {
-        if let Some(h) = self.packed.get(name) {
+    /// The packed HEM of `spec.frames[j]`.
+    fn packed_hem(&mut self, j: usize) -> Result<Arc<HierarchicalEventModel>, SystemError> {
+        if let Some(h) = &self.tables.packed[j] {
             return Ok(h.clone());
         }
-        let frame = *self.frames.get(name).ok_or(SystemError::UnknownReference {
-            kind: "frame",
-            name: name.to_string(),
-        })?;
-        let key = self.enter(format!("frame:{name}"))?;
+        let frame = &self.spec.frames[j];
+        if std::mem::replace(&mut self.visiting_frames[j], true) {
+            return Err(SystemError::DependencyCycle {
+                name: frame.name.clone(),
+            });
+        }
         let mut signals = Vec::with_capacity(frame.signals.len());
         for s in &frame.signals {
             let model = self.resolve_source(&s.source)?;
@@ -1176,31 +1325,22 @@ impl<'a> Resolver<'a> {
             frame.payload_bytes,
             signals,
         )?;
-        let hem = com.packed()?;
+        let hem = Arc::new(com.packed()?);
         self.config.local.recorder.add(Counter::PackingOps, 1);
-        self.visiting.remove(&key);
-        self.packed.insert(name.to_string(), hem.clone());
+        self.visiting_frames[j] = false;
+        self.tables.packed[j] = Some(hem.clone());
         Ok(hem)
     }
 
-    /// Lowers every frame on `bus` to its generic analysis task (in
-    /// spec order), resolving packings and outer streams. Returns the
-    /// frame names alongside: `names[i]` describes `tasks[i]`.
-    fn lower_bus(&mut self, bus: &str) -> Result<(Vec<String>, Vec<AnalysisTask>), SystemError> {
-        let bus_config = self
-            .spec
-            .buses
-            .iter()
-            .find(|b| b.name == bus)
-            .map(|b| b.config)
-            .ok_or_else(|| SystemError::UnknownReference {
-                kind: "bus",
-                name: bus.to_string(),
-            })?;
-        let on_bus: Vec<&FrameSpec> = self.spec.frames.iter().filter(|f| f.bus == bus).collect();
-        let mut bus_frames = Vec::with_capacity(on_bus.len());
-        for f in &on_bus {
-            let outer = self.analysis_outer(&f.name)?;
+    /// Lowers every frame on `spec.buses[b]` to its generic analysis
+    /// task (in spec order), resolving packings and outer streams.
+    fn lower_bus(&mut self, b: usize) -> Result<Vec<AnalysisTask>, SystemError> {
+        let index = self.index;
+        let bus_config = self.spec.buses[b].config;
+        let mut bus_frames = Vec::with_capacity(index.bus_frames[b].len());
+        for &j in &index.bus_frames[b] {
+            let outer = self.analysis_outer(j)?;
+            let f = &self.spec.frames[j];
             bus_frames.push(BusFrame::new(
                 f.name.clone(),
                 CanFrameConfig::new(f.format, f.payload_bytes)?,
@@ -1208,18 +1348,18 @@ impl<'a> Resolver<'a> {
                 outer,
             ));
         }
-        let names = on_bus.iter().map(|f| f.name.clone()).collect();
-        Ok((names, hem_can::bus::lower(&bus_frames, &bus_config)))
+        Ok(hem_can::bus::lower(&bus_frames, &bus_config))
     }
 
-    /// Lowers every task on `cpu` to its generic analysis task (in spec
-    /// order), resolving activation models.
-    fn lower_cpu(&mut self, cpu: &str) -> Result<Vec<AnalysisTask>, SystemError> {
-        let on_cpu: Vec<&TaskSpec> = self.spec.tasks.iter().filter(|t| t.cpu == cpu).collect();
-        on_cpu
+    /// Lowers every task on `spec.cpus[c]` to its generic analysis task
+    /// (in spec order), resolving activation models.
+    fn lower_cpu(&mut self, c: usize) -> Result<Vec<AnalysisTask>, SystemError> {
+        let index = self.index;
+        index.cpu_tasks[c]
             .iter()
-            .map(|t| {
-                let input = self.task_activation(&t.name)?;
+            .map(|&i| {
+                let input = self.task_activation(i)?;
+                let t = &self.spec.tasks[i];
                 Ok(AnalysisTask::new(
                     t.name.clone(),
                     t.bcet,
@@ -1231,56 +1371,43 @@ impl<'a> Resolver<'a> {
             .collect()
     }
 
-    /// Commits a bus's per-frame results (computed by a level's jobs)
-    /// so downstream `frame_result` / `processed_hem` calls see them.
-    fn insert_bus_results(&mut self, bus: String, results: BTreeMap<String, TaskResult>) {
-        self.bus_results.insert(bus, results);
-    }
-
-    /// A frame's bus-analysis result, lazily running the whole bus
-    /// sequentially when no level committed it — the fallback path for
-    /// resources in a dependency cycle (where it reproduces the purely
-    /// sequential engine's behaviour, cycle errors included).
-    fn frame_result(&mut self, name: &str) -> Result<TaskResult, SystemError> {
-        let bus = self
-            .frames
-            .get(name)
-            .ok_or(SystemError::UnknownReference {
-                kind: "frame",
-                name: name.to_string(),
-            })?
-            .bus
-            .clone();
-        if !self.bus_results.contains_key(&bus) {
-            let (_, tasks) = self.lower_bus(&bus)?;
+    /// The bus-analysis result of `spec.frames[j]`, lazily running its
+    /// whole bus sequentially when no level committed it — the fallback
+    /// path for resources in a dependency cycle (where it reproduces the
+    /// purely sequential engine's behaviour, cycle errors included).
+    fn frame_result(&mut self, j: usize) -> Result<TaskResult, SystemError> {
+        if self.frame_results[j].is_none() {
+            let b = self.index.buses[self.spec.frames[j].bus.as_str()];
+            let tasks = self.lower_bus(b)?;
             let results = spnp::analyze(&tasks, &self.config.local)?;
-            let map: BTreeMap<String, TaskResult> =
-                results.into_iter().map(|r| (r.name.clone(), r)).collect();
-            self.bus_results.insert(bus.clone(), map);
+            for (&k, result) in self.index.bus_frames[b].iter().zip(results) {
+                self.frame_results[k] = Some(result);
+            }
         }
-        Ok(self.bus_results[&bus][name].clone())
+        Ok(self.frame_results[j]
+            .clone()
+            .expect("a bus analysis covers every frame on the bus"))
     }
 
-    fn processed_hem(&mut self, name: &str) -> Result<HierarchicalEventModel, SystemError> {
-        if let Some(h) = self.processed.get(name) {
+    /// The processed HEM of `spec.frames[j]`.
+    fn processed_hem(&mut self, j: usize) -> Result<Arc<HierarchicalEventModel>, SystemError> {
+        if let Some(h) = &self.tables.processed[j] {
             return Ok(h.clone());
         }
-        let rt = self.frame_result(name)?.response;
-        let hem = self.packed_hem(name)?;
-        let processed = hem.process(rt.r_minus, rt.r_plus)?;
-        self.processed.insert(name.to_string(), processed.clone());
+        let rt = self.frame_result(j)?.response;
+        let hem = self.packed_hem(j)?;
+        let processed = Arc::new(hem.process(rt.r_minus, rt.r_plus)?);
+        self.tables.processed[j] = Some(processed.clone());
         Ok(processed)
     }
 
-    fn frame_output(&mut self, name: &str) -> Result<ModelRef, SystemError> {
+    fn frame_output(&mut self, j: usize) -> Result<ModelRef, SystemError> {
         match self.config.mode {
-            AnalysisMode::Flat | AnalysisMode::Hierarchical => {
-                Ok(self.processed_hem(name)?.flatten())
-            }
+            AnalysisMode::Flat | AnalysisMode::Hierarchical => Ok(self.processed_hem(j)?.flatten()),
             AnalysisMode::FlatSem => {
                 // Propagate the SEM-fitted outer stream through the bus.
-                let rt = self.frame_result(name)?.response;
-                let outer = self.analysis_outer(name)?;
+                let rt = self.frame_result(j)?.response;
+                let outer = self.analysis_outer(j)?;
                 Ok(OutputModel::new(outer, rt.r_minus, rt.r_plus)?.shared())
             }
         }

@@ -8,7 +8,9 @@
 //! cone* — the resources transitively reachable from any mutated entity
 //! in the [`ResourceGraph`] — and [`analyze_incremental`] re-runs the
 //! fixed point replaying every entity outside the cone from the
-//! snapshot instead of re-analysing its busy windows.
+//! snapshot: its resolved models (activation streams, packings, outer
+//! streams) and its busy-window results, so each iteration costs
+//! O(damage cone).
 //!
 //! # Why replaying is exact
 //!
@@ -23,8 +25,10 @@
 //! convergence traces, iteration counts, stop reasons, and divergence
 //! diagnostics **bit for bit** — the same correctness bar as the
 //! parallel engine's, and enforced at every thread count by the
-//! `incremental_equivalence` suite. Only *work* counters
-//! (busy-window iterations, curve-cache traffic) shrink; see
+//! `incremental_equivalence` suite. The same argument covers the
+//! resolved models: an entity outside the cone resolves to models equal
+//! to the recorded ones. Only *work* counters (busy-window iterations,
+//! analytic lifts and fallbacks, curve-cache traffic) shrink; see
 //! `docs/INCREMENTAL.md` for the exact equality contract.
 //!
 //! # Fallbacks
@@ -37,23 +41,24 @@
 //! dependency cycles (the cyclic sub-system is analysed by a lazy
 //! sequential path whose work cannot be partitioned by resource).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use hem_analysis::TaskResult;
-use hem_event_models::CachedModel;
 use hem_obs::Counter;
 use hem_time::Time;
 
-use crate::engine::{run_with, validate, Capture, EngineWarm, RobustAnalysis, RunOutcome};
+use crate::engine::{
+    run_with, validate, Capture, EngineWarm, Resolution, RobustAnalysis, RunOutcome,
+};
 use crate::graph::{PropagationLevels, ResourceGraph};
 use crate::result::SystemConfig;
 use crate::spec::{ActivationSpec, AnalysisMode, SignalSpec, SystemSpec};
 use crate::SystemError;
 
 /// A reusable snapshot of a **converged** analysis: the analysed spec,
-/// the analysis-shaping configuration, the per-iteration result
-/// trajectory, and the shared curve caches of every iteration.
+/// the analysis-shaping configuration, and the per-iteration results
+/// and resolved models.
 ///
 /// Produced by [`analyze_incremental`] (the `snapshot` field of its
 /// outcome) and fed back into the next call. Snapshots are only taken
@@ -73,17 +78,16 @@ pub struct WarmStart {
     max_iterations: u64,
     /// `(frame results, task results)` of iterations `1..=n`.
     trajectory: Vec<(BTreeMap<String, TaskResult>, BTreeMap<String, TaskResult>)>,
-    /// The keyed shared curve caches of iterations `1..=n` (keys
-    /// `act:<task>` / `outer:<frame>`), forked into clean entities of
-    /// the next run.
-    caches: Vec<BTreeMap<String, Arc<CachedModel>>>,
+    /// The resolved models of iterations `1..=n`, indexed by spec
+    /// position, seeded into clean entities of the next run.
+    resolutions: Vec<Resolution>,
 }
 
 /// The snapshot state replayed for one global iteration.
 pub(crate) struct Replay<'w> {
     pub(crate) frames: &'w BTreeMap<String, TaskResult>,
     pub(crate) tasks: &'w BTreeMap<String, TaskResult>,
-    pub(crate) caches: &'w BTreeMap<String, Arc<CachedModel>>,
+    pub(crate) resolution: &'w Resolution,
 }
 
 impl WarmStart {
@@ -97,7 +101,7 @@ impl WarmStart {
             max_activations: config.local.max_activations,
             max_iterations: config.local.max_iterations,
             trajectory: capture.trajectory,
-            caches: capture.caches,
+            resolutions: capture.resolutions,
         }
     }
 
@@ -119,7 +123,7 @@ impl WarmStart {
         Replay {
             frames,
             tasks,
-            caches: &self.caches[idx],
+            resolution: &self.resolutions[idx],
         }
     }
 
@@ -219,11 +223,11 @@ pub struct IncrementalOutcome {
 /// [`FallbackReason`]) this is exactly
 /// [`analyze_robust`](crate::analyze_robust) plus a snapshot of the
 /// converged run. With a usable snapshot, entities outside the damage
-/// cone of the mutation replay their recorded per-iteration results
-/// instead of re-running busy-window analyses, and their shared curve
-/// caches carry over — the returned results, diagnostics, and
-/// convergence traces are **bit-for-bit identical** to a from-scratch
-/// run, at every thread count.
+/// cone of the mutation replay their recorded per-iteration models and
+/// results instead of being resolved and re-running busy-window
+/// analyses — the returned results, diagnostics, and convergence traces
+/// are **bit-for-bit identical** to a from-scratch run, at every thread
+/// count.
 ///
 /// Reuse is visible in the recorder: `warm_start_hits` (replayed
 /// per-entity analyses), `cone_size` (resources re-analysed), and
@@ -261,17 +265,15 @@ pub fn analyze_incremental(
     warm: Option<&WarmStart>,
 ) -> Result<IncrementalOutcome, SystemError> {
     validate(spec)?;
+    let levels = PropagationLevels::of(spec);
     let recorder = config.local.recorder.clone();
     let graph = ResourceGraph::of(spec);
     let total_resources = graph.len();
-    match plan(spec, config, warm, &graph) {
-        Ok((clean, dirty)) => {
+    match plan(spec, config, warm, &graph, &levels) {
+        Ok((engine_warm, dirty)) => {
             recorder.add(Counter::ConeSize, dirty.len() as u64);
-            let engine_warm = EngineWarm {
-                clean,
-                snapshot: warm.expect("a warm plan implies a snapshot"),
-            };
-            let (outcome, capture, replayed) = run_with(spec, config, Some(&engine_warm), true)?;
+            let (outcome, capture, replayed) =
+                run_with(spec, config, &levels, Some(&engine_warm), true)?;
             finish(
                 spec,
                 config,
@@ -289,7 +291,7 @@ pub fn analyze_incremental(
         Err(reason) => {
             recorder.add(Counter::FullFallbacks, 1);
             recorder.add(Counter::ConeSize, total_resources as u64);
-            let (outcome, capture, _) = run_with(spec, config, None, true)?;
+            let (outcome, capture, _) = run_with(spec, config, &levels, None, true)?;
             finish(
                 spec,
                 config,
@@ -338,14 +340,15 @@ fn finish(
     })
 }
 
-/// Decides between a warm plan `(clean resources, sorted dirty cone)`
-/// and a fallback.
-fn plan(
+/// Decides between a warm plan (the engine's clean-resource flags plus
+/// the sorted dirty cone) and a fallback.
+fn plan<'w>(
     spec: &SystemSpec,
     config: &SystemConfig,
-    warm: Option<&WarmStart>,
+    warm: Option<&'w WarmStart>,
     graph: &ResourceGraph,
-) -> Result<(HashSet<String>, Vec<String>), FallbackReason> {
+    levels: &PropagationLevels,
+) -> Result<(EngineWarm<'w>, Vec<String>), FallbackReason> {
     let snapshot = warm.ok_or(FallbackReason::NoSnapshot)?;
     if snapshot.trajectory.is_empty() {
         return Err(FallbackReason::NoSnapshot);
@@ -354,16 +357,17 @@ fn plan(
         return Err(FallbackReason::ConfigChanged);
     }
     let seeds = diff(&snapshot.spec, spec).ok_or(FallbackReason::StructuralChange)?;
-    if PropagationLevels::of(spec).has_cycles() {
+    if levels.has_cycles() {
         return Err(FallbackReason::DependencyCycles);
     }
     let cone = graph.dependents_closure(seeds);
-    let clean: HashSet<String> = graph
-        .resources()
-        .filter(|r| !cone.contains(*r))
-        .map(String::from)
-        .collect();
-    Ok((clean, cone.into_iter().collect()))
+    let clean = |kind: &str, name: &str| !cone.contains(&format!("{kind}:{name}"));
+    let engine_warm = EngineWarm {
+        clean_buses: spec.buses.iter().map(|b| clean("bus", &b.name)).collect(),
+        clean_cpus: spec.cpus.iter().map(|c| clean("cpu", &c.name)).collect(),
+        snapshot,
+    };
+    Ok((engine_warm, cone.into_iter().collect()))
 }
 
 /// The directly mutated resources between two structurally equal specs

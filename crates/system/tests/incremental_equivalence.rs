@@ -10,11 +10,15 @@
 //! at threads 1, 2, 4, and 8 — including the full-fallback paths
 //! (structural changes, configuration changes, dependency cycles).
 //!
+//! Beyond results, every resolved model a warm run hands back — task
+//! activations, frame activations and outputs, unpacked signals — must
+//! equal the cold run's, replayed ones included.
+//!
 //! Counter contract (see `docs/INCREMENTAL.md`): `global_iterations`
 //! and `packing_ops` must equal the cold run's exactly; work counters
-//! (busy-window iterations, curve-cache traffic) may legitimately
-//! shrink on a warm run but must still be identical across thread
-//! counts.
+//! (busy-window iterations, analytic lifts and fallbacks, curve-cache
+//! traffic) shrink on a warm run in proportion to the damage cone but
+//! must still be identical across thread counts.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +27,7 @@ use proptest::prelude::*;
 use hem_analysis::Priority;
 use hem_autosar_com::{FrameType, TransferProperty};
 use hem_can::{CanBusConfig, FrameFormat};
-use hem_event_models::{EventModelExt, StandardEventModel};
+use hem_event_models::{EventModel, EventModelExt, ModelRef, StandardEventModel};
 use hem_obs::MemoryRecorder;
 use hem_system::{
     analyze_incremental, analyze_robust, ActivationSpec, AnalysisMode, FallbackReason, FrameSpec,
@@ -256,9 +260,34 @@ fn run_warm(
     }
 }
 
+/// Asserts two resolved models agree on δ⁻(n) and δ⁺(n) for
+/// n ∈ [2, 64], or are both absent.
+fn assert_same_model(warm: Option<&ModelRef>, cold: Option<&ModelRef>, what: &str) {
+    match (warm, cold) {
+        (None, None) => {}
+        (Some(w), Some(c)) => {
+            for n in 2..=64 {
+                assert_eq!(w.delta_min(n), c.delta_min(n), "{what}: δ⁻({n})");
+                assert_eq!(w.delta_plus(n), c.delta_plus(n), "{what}: δ⁺({n})");
+            }
+        }
+        (w, c) => panic!(
+            "{what}: present in warm run {}, in cold run {}",
+            w.is_some(),
+            c.is_some()
+        ),
+    }
+}
+
 /// Asserts a warm run's results and diagnostics are bit-for-bit the
+/// cold run's, that every resolved model of `spec` it returns equals the
 /// cold run's, and that the deterministic counter subset matches.
-fn assert_matches_cold(warm: &Run<IncrementalOutcome>, cold: &Run<RobustAnalysis>, label: &str) {
+fn assert_matches_cold(
+    spec: &SystemSpec,
+    warm: &Run<IncrementalOutcome>,
+    cold: &Run<RobustAnalysis>,
+    label: &str,
+) {
     let (wa, ca) = (&warm.outcome.analysis, &cold.outcome);
     assert_eq!(
         wa.results.is_complete(),
@@ -303,8 +332,39 @@ fn assert_matches_cold(warm: &Run<IncrementalOutcome>, cold: &Run<RobustAnalysis
         wa.diagnostics.suspected_bottleneck, ca.diagnostics.suspected_bottleneck,
         "{label}: bottleneck"
     );
-    // Replay skips busy-window *work*, never resolution: iteration and
-    // packing counts must be exactly the cold run's.
+    // Replayed models must be the models resolution would rebuild — a
+    // replayed model that feeds no dirty entity is checked here too.
+    let (wr, cr) = (&wa.results, &ca.results);
+    for t in &spec.tasks {
+        let what = format!("{label}: task_activation({})", t.name);
+        assert_same_model(
+            wr.task_activation(&t.name),
+            cr.task_activation(&t.name),
+            &what,
+        );
+    }
+    for f in &spec.frames {
+        let what = format!("{label}: frame_activation({})", f.name);
+        assert_same_model(
+            wr.frame_activation(&f.name),
+            cr.frame_activation(&f.name),
+            &what,
+        );
+        let what = format!("{label}: frame_output({})", f.name);
+        assert_same_model(wr.frame_output(&f.name), cr.frame_output(&f.name), &what);
+        for sig in &f.signals {
+            let what = format!("{label}: unpacked_signal({}, {})", f.name, sig.name);
+            assert_same_model(
+                wr.unpacked_signal(&f.name, &sig.name),
+                cr.unpacked_signal(&f.name, &sig.name),
+                &what,
+            );
+        }
+    }
+    // Replay skips resolution and busy-window *work* on clean
+    // resources, but a replayed packing enters the iteration's state
+    // like a computed one: iteration and packing counts must be exactly
+    // the cold run's.
     for counter in ["global_iterations", "packing_ops"] {
         assert_eq!(
             warm.snapshot.counters.get(counter),
@@ -331,7 +391,7 @@ fn check_chain(specs: &[SystemSpec], mode: AnalysisMode) {
         for (step, spec) in specs.iter().enumerate() {
             let mut run = run_warm(spec, mode, threads, warm.as_ref());
             let label = format!("step {step}, {threads} threads");
-            assert_matches_cold(&run, &colds[step], &label);
+            assert_matches_cold(spec, &run, &colds[step], &label);
             if step == 0 {
                 assert_eq!(
                     run.outcome.reuse.fallback,
@@ -451,7 +511,12 @@ proptest! {
             assert_eq!(second.outcome.reuse.replayed_results, 0);
             assert!((second.outcome.reuse.cone_fraction() - 1.0).abs() < f64::EPSILON);
             let cold = run_cold(&grown, AnalysisMode::Hierarchical, threads);
-            assert_matches_cold(&second, &cold, &format!("structural, {threads} threads"));
+            assert_matches_cold(
+                &grown,
+                &second,
+                &cold,
+                &format!("structural, {threads} threads"),
+            );
         }
     }
 }
@@ -474,7 +539,7 @@ fn unchanged_spec_replays_fully() {
         entities * cold.outcome.results.iterations(),
         "every entity of every iteration replays"
     );
-    assert_matches_cold(&second, &cold, "unchanged spec");
+    assert_matches_cold(&spec, &second, &cold, "unchanged spec");
     assert_eq!(
         second.snapshot.counters.get("warm_start_hits").copied(),
         Some(second.outcome.reuse.replayed_results)
@@ -498,7 +563,7 @@ fn config_changes_fall_back() {
         Some(FallbackReason::ConfigChanged)
     );
     let cold = run_cold(&spec, AnalysisMode::Flat, 1);
-    assert_matches_cold(&second, &cold, "config change");
+    assert_matches_cold(&spec, &second, &cold, "config change");
     assert_eq!(
         second.snapshot.counters.get("full_fallbacks").copied(),
         Some(1)
@@ -617,5 +682,137 @@ fn cycle_in_unchanged_topology_is_refused_at_plan_time() {
         Some(FallbackReason::StructuralChange)
     );
     let cold = run_cold(&shrunk, AnalysisMode::Hierarchical, 1);
-    assert_matches_cold(&second, &cold, "shrunk topology");
+    assert_matches_cold(&shrunk, &second, &cold, "shrunk topology");
+}
+
+/// `replicas` identical islands: bus `b<r>` carrying frame `F<r>` (a
+/// triggering and a pending signal), and CPU `c<r>` with a receiver per
+/// signal plus a task chained on the first receiver's output.
+fn replica_grid(replicas: usize) -> SystemSpec {
+    let periodic = |p: i64| {
+        ActivationSpec::External(
+            StandardEventModel::periodic(Time::new(p))
+                .expect("valid")
+                .shared(),
+        )
+    };
+    let task = |name: String, cpu: &str, wcet: i64, prio: u32, activation| TaskSpec {
+        name,
+        cpu: cpu.into(),
+        bcet: Time::new(wcet),
+        wcet: Time::new(wcet),
+        priority: Priority::new(prio),
+        activation,
+    };
+    let mut spec = SystemSpec::new();
+    for r in 0..replicas {
+        let (bus, cpu, frame) = (format!("b{r}"), format!("c{r}"), format!("F{r}"));
+        let signal = |name: &str| ActivationSpec::Signal {
+            frame: frame.clone(),
+            signal: name.into(),
+        };
+        spec = spec
+            .bus(bus.clone(), CanBusConfig::new(Time::new(1)))
+            .cpu(cpu.clone())
+            .frame(FrameSpec {
+                name: frame.clone(),
+                bus,
+                frame_type: FrameType::Direct,
+                payload_bytes: 4,
+                format: FrameFormat::Standard,
+                priority: Priority::new(1),
+                signals: vec![
+                    SignalSpec {
+                        name: "trig".into(),
+                        transfer: TransferProperty::Triggering,
+                        source: periodic(2_000),
+                    },
+                    SignalSpec {
+                        name: "pend".into(),
+                        transfer: TransferProperty::Pending,
+                        source: periodic(3_000),
+                    },
+                ],
+            })
+            .task(task(format!("rx{r}"), &cpu, 40, 1, signal("trig")))
+            .task(task(format!("rp{r}"), &cpu, 60, 2, signal("pend")))
+            .task(task(
+                format!("ch{r}"),
+                &cpu,
+                30,
+                3,
+                ActivationSpec::TaskOutput(format!("rx{r}")),
+            ));
+    }
+    spec
+}
+
+fn counter(run: &Run<impl Sized>, name: &str) -> u64 {
+    run.snapshot.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Warm resolution costs O(damage cone): a clean resource's models are
+/// replayed, never re-resolved or re-lifted. A silent fall-back to
+/// re-resolving the whole system would still produce cold-equal
+/// results, so only the work counters can catch it.
+#[test]
+fn warm_resolution_is_cone_proportional() {
+    const REPLICAS: u64 = 8;
+    let config = |handle| {
+        SystemConfig::new(AnalysisMode::Hierarchical)
+            .with_recorder(handle)
+            .with_analytic(Some(true))
+            .with_threads(1)
+    };
+    let run = |spec: &SystemSpec, warm: Option<&WarmStart>| {
+        let (recorder, handle) = MemoryRecorder::handle();
+        let outcome = analyze_incremental(spec, &config(handle), warm).expect("well-formed");
+        Run {
+            outcome,
+            snapshot: recorder.snapshot(),
+        }
+    };
+    let run_cold = |spec: &SystemSpec| {
+        let (recorder, handle) = MemoryRecorder::handle();
+        let outcome = analyze_robust(spec, &config(handle)).expect("well-formed");
+        Run {
+            outcome,
+            snapshot: recorder.snapshot(),
+        }
+    };
+    let spec = replica_grid(REPLICAS as usize);
+    let first = run(&spec, None);
+    assert!(counter(&first, "analytic_lifts") > 0);
+    let snapshot = first.outcome.snapshot.as_ref().expect("converged");
+
+    // Unchanged spec: nothing is resolved, lifted, or analysed.
+    let unchanged = run(&spec, Some(snapshot));
+    assert!(unchanged.outcome.reuse.dirty_resources.is_empty());
+    for name in [
+        "analytic_lifts",
+        "analytic_fallbacks",
+        "busy_window_iterations",
+    ] {
+        assert_eq!(counter(&unchanged, name), 0, "unchanged spec: {name}");
+    }
+
+    // Re-time replica 0's pending signal: its bus and CPU — one replica
+    // of eight — are the damage cone, and exactly that share of the
+    // cold run's lifts is redone.
+    let mut edited = spec.clone();
+    edited.frames[0].signals[1].source = ActivationSpec::External(
+        StandardEventModel::periodic(Time::new(3_500))
+            .expect("valid")
+            .shared(),
+    );
+    let warm = run(&edited, Some(snapshot));
+    assert_eq!(warm.outcome.reuse.dirty_resources, ["bus:b0", "cpu:c0"]);
+    let cold = run_cold(&edited);
+    assert_matches_cold(&edited, &warm, &cold, "one-replica edit");
+    assert_eq!(counter(&cold, "analytic_fallbacks"), 0);
+    assert_eq!(
+        counter(&warm, "analytic_lifts") * REPLICAS,
+        counter(&cold, "analytic_lifts"),
+        "a one-replica edit lifts one replica's models"
+    );
 }
