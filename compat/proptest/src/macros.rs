@@ -2,7 +2,13 @@
 //! macro family.
 
 /// Defines property tests. Each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over many generated inputs.
+/// becomes a function running the body over many generated inputs.
+///
+/// As in `proptest` itself, the macro passes the function's attributes
+/// through and adds none: mark each property `#[test]`. Adding one here
+/// as well would register every property twice under the same name,
+/// and the two copies — generating identical inputs — would run
+/// concurrently.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -18,7 +24,6 @@ macro_rules! proptest {
 macro_rules! __proptest_tests {
     (($config:expr)) => {};
     (($config:expr) $(#[$meta:meta])* fn $name:ident($($params:tt)*) $body:block $($rest:tt)*) => {
-        #[test]
         $(#[$meta])*
         fn $name() {
             $crate::__proptest_case!(($config) (stringify!($name)) [] [] ($($params)*) $body);

@@ -98,10 +98,9 @@ pub fn response_time(
 
 /// Analyses the frame/task at `index` within a complete SPNP task set.
 ///
-/// The per-entity entry point of the parallel engine: every frame of a
-/// bus can be analysed independently given the full (shared) lowered
-/// task set, so workers call this concurrently with `tasks` behind an
-/// `Arc` and the activation models carrying shared curve caches.
+/// The per-entity entry point of the system engine: every frame of a
+/// bus can be analysed independently given the full lowered task set,
+/// so the engine lowers a bus once and calls this for each frame.
 ///
 /// # Panics
 ///

@@ -120,10 +120,9 @@ pub fn response_details(
 
 /// Analyses the task at `index` within a complete SPP task set.
 ///
-/// The per-entity entry point of the parallel engine: every task of a
-/// resource can be analysed independently given the full (shared) task
-/// set, so workers call this concurrently with `tasks` behind an `Arc`
-/// and the activation models carrying shared curve caches.
+/// The per-entity entry point of the system engine: every task of a
+/// resource can be analysed independently given the full task set, so
+/// the engine lowers a resource once and calls this for each task.
 ///
 /// # Panics
 ///

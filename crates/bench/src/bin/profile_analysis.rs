@@ -32,11 +32,11 @@ use hem_bench::explore::{run_explore, ExploreReport};
 use hem_bench::incremental::{replicated_spec, run_chain_cold, run_chain_warm, scenario_chain};
 use hem_bench::obs::{run_obs_overhead, ObsReport};
 use hem_bench::paper_system::{simulation, spec, PaperParams};
-use hem_bench::parallel::{env_threads, parallel_map};
 use hem_bench::serving::{run_serving, ServingParams, ServingReport};
 use hem_obs::{json, Counter, MemoryRecorder, MetricsSnapshot};
 use hem_sim::fault::{Fault, FaultPlan, FaultTarget};
 use hem_sim::system::try_run_recorded;
+use hem_system::parallel::{env_threads, parallel_map};
 use hem_system::{analyze_robust, AnalysisMode, SystemConfig};
 use hem_time::Time;
 
@@ -152,7 +152,7 @@ fn run_sweep() -> Sweep {
         }
     }
     let analyse = |params: PaperParams| {
-        let config = SystemConfig::new(AnalysisMode::Hierarchical).with_threads(1);
+        let config = SystemConfig::new(AnalysisMode::Hierarchical);
         let robust = analyze_robust(&spec(&params), &config).unwrap_or_else(|e| {
             eprintln!("sweep analysis failed ({params:?}): {e}");
             std::process::exit(1);
@@ -216,7 +216,7 @@ fn run_incremental() -> Incremental {
     let replicas = 8;
     let steps = 16;
     let specs = scenario_chain(replicas, steps, &PaperParams::default());
-    let config = SystemConfig::new(AnalysisMode::Hierarchical).with_threads(1);
+    let config = SystemConfig::new(AnalysisMode::Hierarchical);
     let cold = run_chain_cold(&specs, &config);
     let warm = run_chain_warm(&specs, &config);
     if cold.response_times != warm.response_times {
@@ -299,7 +299,6 @@ fn analytic_pass(
 ) -> (f64, Vec<ResponseTimes>, u64, u64) {
     let (recorder, handle) = MemoryRecorder::handle();
     let config = SystemConfig::new(AnalysisMode::Hierarchical)
-        .with_threads(1)
         .with_recorder(handle)
         .with_analytic(Some(analytic));
     let started = Instant::now();

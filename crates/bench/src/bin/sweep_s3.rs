@@ -16,7 +16,7 @@
 
 use hem_bench::incremental::run_chain_warm;
 use hem_bench::paper_system::{spec, table3, PaperParams};
-use hem_bench::parallel::{env_threads, parallel_map};
+use hem_system::parallel::{env_threads, parallel_map};
 use hem_system::{AnalysisMode, SystemConfig, SystemSpec};
 
 /// Chains `specs` through the warm-start engine in both modes and
@@ -27,7 +27,7 @@ fn verify_warm(specs: &[SystemSpec], rows: &[(Vec<hem_bench::paper_system::Table
         (AnalysisMode::Flat, 0usize),
         (AnalysisMode::Hierarchical, 1),
     ] {
-        let config = SystemConfig::new(mode).with_threads(1);
+        let config = SystemConfig::new(mode);
         let run = run_chain_warm(specs, &config);
         for (table_rows, index) in rows {
             let rt = &run.response_times[*index];

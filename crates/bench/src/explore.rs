@@ -95,7 +95,7 @@ impl ExploreReport {
     }
 }
 
-/// Runs the exploration benchmark with `threads` analysis workers.
+/// Runs the exploration benchmark with a `threads`-wide candidate fan-out.
 ///
 /// # Panics
 ///

@@ -303,7 +303,7 @@ mod tests {
     fn warm_chain_matches_cold_with_small_cones() {
         let p = PaperParams::default();
         let specs = scenario_chain(4, 5, &p);
-        let config = SystemConfig::new(AnalysisMode::Hierarchical).with_threads(1);
+        let config = SystemConfig::new(AnalysisMode::Hierarchical);
         let cold = run_chain_cold(&specs, &config);
         let warm = run_chain_warm(&specs, &config);
         assert_eq!(cold.response_times, warm.response_times);

@@ -13,8 +13,9 @@
 //!
 //! Binaries in `src/bin/` print the tables and figure series; Criterion
 //! benches in `benches/` measure analysis runtime. Sweeps over many
-//! scenarios can fan out over threads with [`parallel::parallel_map`]
-//! (order-deterministic; `HEM_THREADS` selects the width).
+//! scenarios can fan out over threads with
+//! [`hem_system::parallel::parallel_map`] (order-deterministic;
+//! `HEM_THREADS` selects the width).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +24,5 @@ pub mod explore;
 pub mod incremental;
 pub mod obs;
 pub mod paper_system;
-pub mod parallel;
 pub mod scenarios;
 pub mod serving;

@@ -1,8 +1,8 @@
 //! Corpus-wide analysis gates: every `.hem` file under
 //! `crates/bench/scenarios/` (loaded through
 //! [`hem_bench::scenarios::corpus`]) is analyzed in all three modes
-//! with mode dominance checked per entity, re-run across thread counts
-//! and with the analytic fast path toggled to prove determinism, and
+//! with mode dominance checked per entity, re-run with the analytic
+//! fast path toggled to prove determinism, and
 //! its periodic CPU workloads are re-analyzed under TDMA, round-robin,
 //! and EDF resource-sharing policies.
 //!
@@ -79,31 +79,28 @@ fn every_scenario_analyzes_with_mode_dominance() {
 }
 
 #[test]
-fn every_scenario_is_deterministic_across_threads_and_fast_path() {
+fn every_scenario_is_deterministic_across_fast_path() {
     for entry in corpus() {
         let reference = run(
             &entry,
             &SystemConfig::new(AnalysisMode::Hierarchical).with_analytic(Some(false)),
         );
-        for threads in [1usize, 4] {
-            for analytic in [false, true] {
-                let config = SystemConfig::new(AnalysisMode::Hierarchical)
-                    .with_threads(threads)
-                    .with_analytic(Some(analytic));
-                let results = run(&entry, &config);
-                assert_eq!(
-                    reference.response_times(),
-                    results.response_times(),
-                    "{}: results diverge at threads={threads} analytic={analytic}",
-                    entry.name
-                );
-                assert_eq!(
-                    reference.iterations(),
-                    results.iterations(),
-                    "{}: iteration count diverges at threads={threads} analytic={analytic}",
-                    entry.name
-                );
-            }
+        for analytic in [false, true] {
+            let config =
+                SystemConfig::new(AnalysisMode::Hierarchical).with_analytic(Some(analytic));
+            let results = run(&entry, &config);
+            assert_eq!(
+                reference.response_times(),
+                results.response_times(),
+                "{}: results diverge at analytic={analytic}",
+                entry.name
+            );
+            assert_eq!(
+                reference.iterations(),
+                results.iterations(),
+                "{}: iteration count diverges at analytic={analytic}",
+                entry.name
+            );
         }
     }
 }

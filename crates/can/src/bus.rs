@@ -86,9 +86,9 @@ impl BusFrame {
 /// Lowers every frame on a bus to its generic [`AnalysisTask`].
 ///
 /// The lowered set is what the per-frame entry point [`analyze_one`]
-/// (and the parallel engine's bus jobs) share: lowering once and
-/// analysing each frame against the shared set avoids re-deriving
-/// transmission times per job.
+/// (and the system engine's per-frame analyses) share: lowering once
+/// and analysing each frame against the shared set avoids re-deriving
+/// transmission times per frame.
 #[must_use]
 pub fn lower(frames: &[BusFrame], bus: &CanBusConfig) -> Vec<AnalysisTask> {
     frames.iter().map(|f| f.to_analysis_task(bus)).collect()

@@ -8,18 +8,11 @@ use hem_time::{Time, TimeBound};
 
 use crate::{EventModel, ModelRef};
 
-/// Number of independently locked shards per cache. A small power of
-/// two: curve keys are spread by a multiplicative hash, so even 8
-/// stripes make same-instant collisions between a handful of workers
-/// unlikely, while keeping the per-cache footprint negligible.
-const STRIPES: usize = 8;
-
-/// One lock stripe: the four curve memo tables for the keys hashing to
-/// this stripe, plus locally accumulated counter deltas (flushed in
-/// bulk by [`CachedModel::flush_recorded`] instead of per query, so the
-/// hot path never touches the recorder's lock).
+/// The four curve memo tables plus locally accumulated counter deltas
+/// (flushed in bulk by [`CachedModel::flush_recorded`] instead of per
+/// query, so the hot path never touches the recorder's lock).
 #[derive(Debug, Default)]
-struct Shard {
+struct Memo {
     delta_min: HashMap<u64, Time>,
     delta_plus: HashMap<u64, TimeBound>,
     eta_plus: HashMap<Time, u64>,
@@ -36,22 +29,20 @@ struct Shard {
 /// of times. `CachedModel` memoizes all four functions, turning repeated
 /// queries into hash lookups while remaining a drop-in [`EventModel`].
 ///
-/// The cache is safe to share across analysis workers: it is
-/// lock-striped (keys spread over `STRIPES` independently locked
-/// shards) and **compute-once** — the shard lock is held while the
-/// wrapped model is evaluated, so concurrent queries for the same key
-/// perform exactly one inner evaluation and every caller observes the
-/// same value. Holding the lock during evaluation cannot deadlock:
-/// model graphs are acyclic (`Arc`-shared DAGs), so recursion only ever
-/// acquires locks of *other* cache instances, following the DAG's
-/// partial order.
+/// The analysis engine is sequential, so one lock guards all four
+/// tables; it keeps the cache `Sync` (models are shared as
+/// `Arc<dyn EventModel + Send + Sync>`) and **compute-once** — the lock
+/// is held while the wrapped model is evaluated, so concurrent queries
+/// for the same key perform exactly one inner evaluation and every
+/// caller observes the same value. Holding the lock during evaluation
+/// cannot deadlock: model graphs are acyclic (`Arc`-shared DAGs), so
+/// recursion only ever acquires locks of *other* cache instances,
+/// following the DAG's partial order.
 ///
 /// Compute-once also makes the hit/miss accounting independent of
 /// thread interleaving: misses equal the number of *distinct keys*
 /// evaluated and evaluations equal the number of queries issued — both
-/// properties of the workload, not of the schedule. This is what lets
-/// the parallel engine report bit-identical cache counters for any
-/// thread count.
+/// properties of the workload, not of the schedule.
 ///
 /// # Examples
 ///
@@ -76,7 +67,7 @@ pub struct CachedModel {
     /// queries are the hottest path of the analysis and must not pay a
     /// dynamic dispatch per query when recording is off.
     recording: bool,
-    shards: [Mutex<Shard>; STRIPES],
+    memo: Mutex<Memo>,
 }
 
 impl CachedModel {
@@ -99,7 +90,7 @@ impl CachedModel {
             inner,
             recording: recorder.enabled(),
             recorder,
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
+            memo: Mutex::new(Memo::default()),
         }
     }
 
@@ -109,33 +100,28 @@ impl CachedModel {
         &self.inner
     }
 
-    /// The shard responsible for `key` (identically distributed for the
-    /// `n`- and `Δt`-keyed tables; Fibonacci hashing spreads the small,
-    /// dense keys of busy-window queries across stripes).
-    fn shard(&self, key: u64) -> MutexGuard<'_, Shard> {
-        let idx = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as usize % STRIPES;
-        self.shards[idx].lock().expect("cache shard poisoned")
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("cache poisoned")
     }
 
     /// Flushes the accumulated evaluation/hit/miss counts to the
     /// recorder passed at construction.
     ///
     /// Totals are drained (a second flush reports nothing new). The
-    /// parallel engine calls this at the end of every global iteration —
-    /// a point reached with all workers quiescent — so counter order at
-    /// the recorder is deterministic; dropping the cache flushes any
-    /// remainder.
+    /// engine calls this at the end of every global iteration, so
+    /// counter order at the recorder is deterministic; dropping the
+    /// cache flushes any remainder.
     pub fn flush_recorded(&self) {
         if !self.recording {
             return;
         }
-        let mut evaluations = 0u64;
-        let mut misses = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            evaluations += std::mem::take(&mut shard.evaluations);
-            misses += std::mem::take(&mut shard.misses);
-        }
+        let (evaluations, misses) = {
+            let mut memo = self.memo();
+            (
+                std::mem::take(&mut memo.evaluations),
+                std::mem::take(&mut memo.misses),
+            )
+        };
         if evaluations > 0 {
             self.recorder.add(Counter::CurveEvaluations, evaluations);
             self.recorder.add(Counter::CacheHits, evaluations - misses);
@@ -158,9 +144,9 @@ impl CachedModel {
     #[must_use]
     pub fn fork(&self, recorder: RecorderHandle) -> CachedModel {
         let forked = CachedModel::recorded(self.inner.clone(), recorder);
-        for (src, dst) in self.shards.iter().zip(&forked.shards) {
-            let src = src.lock().expect("cache shard poisoned");
-            let mut dst = dst.lock().expect("cache shard poisoned");
+        {
+            let src = self.memo();
+            let mut dst = forked.memo();
             dst.delta_min = src.delta_min.clone();
             dst.delta_plus = src.delta_plus.clone();
             dst.eta_plus = src.eta_plus.clone();
@@ -169,16 +155,11 @@ impl CachedModel {
         forked
     }
 
-    /// Total number of memoized entries across all stripes (diagnostic).
+    /// Total number of memoized entries (diagnostic).
     #[must_use]
     pub fn cached_entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().expect("cache shard poisoned");
-                s.delta_min.len() + s.delta_plus.len() + s.eta_plus.len() + s.eta_minus.len()
-            })
-            .sum()
+        let s = self.memo();
+        s.delta_min.len() + s.delta_plus.len() + s.eta_plus.len() + s.eta_minus.len()
     }
 }
 
@@ -189,17 +170,17 @@ impl Drop for CachedModel {
 }
 
 macro_rules! memoized {
-    ($self:ident, $table:ident, $key:expr, $raw_key:expr) => {{
-        let mut shard = $self.shard($raw_key);
-        shard.evaluations += 1;
-        match shard.$table.get(&$key) {
+    ($self:ident, $table:ident, $key:expr) => {{
+        let mut memo = $self.memo();
+        memo.evaluations += 1;
+        match memo.$table.get(&$key) {
             Some(v) => *v,
             None => {
-                // Compute while holding the stripe: concurrent queries
+                // Compute while holding the lock: concurrent queries
                 // for this key block here and then hit.
                 let v = $self.inner.$table($key);
-                shard.$table.insert($key, v);
-                shard.misses += 1;
+                memo.$table.insert($key, v);
+                memo.misses += 1;
                 v
             }
         }
@@ -208,19 +189,19 @@ macro_rules! memoized {
 
 impl EventModel for CachedModel {
     fn delta_min(&self, n: u64) -> Time {
-        memoized!(self, delta_min, n, n)
+        memoized!(self, delta_min, n)
     }
 
     fn delta_plus(&self, n: u64) -> TimeBound {
-        memoized!(self, delta_plus, n, n)
+        memoized!(self, delta_plus, n)
     }
 
     fn eta_plus(&self, dt: Time) -> u64 {
-        memoized!(self, eta_plus, dt, dt.ticks() as u64)
+        memoized!(self, eta_plus, dt)
     }
 
     fn eta_minus(&self, dt: Time) -> u64 {
-        memoized!(self, eta_minus, dt, dt.ticks() as u64)
+        memoized!(self, eta_minus, dt)
     }
 
     // An analytic lift sees through the cache: the wrapped model's curve

@@ -9,10 +9,11 @@
 //!   [`NoopRecorder`] (the default) reduces every hot-path report to a
 //!   single branch; [`MemoryRecorder`] collects everything in memory.
 //! * [`RecorderHandle`] — the cloneable reference threaded through
-//!   `AnalysisConfig` and the simulator entry points.
-//! * [`BufferedRecorder`] — a per-worker buffer for the parallel
-//!   engine: workers record locally, the engine drains buffers in
-//!   canonical job order so the merged signals are deterministic.
+//!   `AnalysisConfig` and the simulator entry points. An analysis runs
+//!   sequentially and records straight into it; recorders are
+//!   `Send + Sync`, so independent analyses fanned out over threads may
+//!   share one — counter, label and histogram totals do not depend on
+//!   the interleaving.
 //! * [`ConvergenceTrace`] — the per-iteration response-time trajectory
 //!   of a global analysis, so diagnostics can show *how* a run
 //!   converged or diverged rather than just the last two vectors.
@@ -44,14 +45,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod convergence;
 pub mod json;
 mod metrics;
 mod recorder;
 mod trace_event;
 
-pub use buffer::BufferedRecorder;
 pub use convergence::{ConvergenceTrace, IterationSnapshot, RtBound};
 pub use metrics::{Counter, Gauge, HistogramData, MetricsSnapshot};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, RecorderHandle, Span};

@@ -315,9 +315,7 @@ impl HistogramData {
     /// Folds another histogram into this one.
     ///
     /// Bucket counts, totals, and extrema combine commutatively, so
-    /// merging per-worker histograms yields the same data regardless of
-    /// worker scheduling — the property the parallel engine's
-    /// determinism guarantee rests on.
+    /// the merged data does not depend on the order of the merges.
     pub fn merge(&mut self, other: &HistogramData) {
         if other.count == 0 {
             return;

@@ -56,16 +56,6 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     fn complete_span(&self, name: &'static str, cat: &'static str, start: Instant, dur: Duration) {
         let _ = (name, cat, start, dur);
     }
-
-    /// Folds pre-aggregated histogram data into the named histogram.
-    ///
-    /// Used when draining a per-worker
-    /// [`BufferedRecorder`](crate::BufferedRecorder): samples are
-    /// recorded into worker-local [`HistogramData`] and merged here in
-    /// one call instead of replayed one [`Recorder::observe`] at a time.
-    fn merge_histogram(&self, histogram: &'static str, data: &HistogramData) {
-        let _ = (histogram, data);
-    }
 }
 
 /// A recorder that collects nothing.
@@ -140,19 +130,6 @@ impl RecorderHandle {
         if self.0.enabled() {
             self.0.emit(event);
         }
-    }
-
-    /// Folds pre-aggregated histogram data into the named histogram.
-    pub fn merge_histogram(&self, histogram: &'static str, data: &HistogramData) {
-        if self.0.enabled() {
-            self.0.merge_histogram(histogram, data);
-        }
-    }
-
-    /// The wrapped recorder (for in-crate replay, e.g.
-    /// [`BufferedRecorder::drain_into`](crate::BufferedRecorder::drain_into)).
-    pub(crate) fn raw(&self) -> &Arc<dyn Recorder> {
-        &self.0
     }
 
     /// Opens a wall-clock span; the returned guard reports a complete
@@ -298,14 +275,8 @@ impl MemoryRecorder {
         for (name, h) in &state.histograms {
             snap.histograms.insert(name, h.clone());
         }
-        // Spans recorded directly land here; spans drained out of a
-        // BufferedRecorder arrive pre-prefixed via merge_histogram, so
-        // fold rather than overwrite.
         for (name, h) in &state.span_durs {
-            snap.histograms
-                .entry(span_histogram(name))
-                .or_default()
-                .merge(h);
+            snap.histograms.insert(span_histogram(name), h.clone());
         }
         snap
     }
@@ -375,11 +346,6 @@ impl Recorder for MemoryRecorder {
                 .events
                 .push(TraceEvent::complete(name, cat, ts_us, dur_us, 0));
         }
-    }
-
-    fn merge_histogram(&self, histogram: &'static str, data: &HistogramData) {
-        let mut state = self.state.lock().expect("recorder poisoned");
-        state.histograms.entry(histogram).or_default().merge(data);
     }
 }
 

@@ -503,9 +503,7 @@ impl Session {
     /// Only on genuine spec errors surfaced by the engine.
     pub fn analyze(&mut self, budget: AnalysisBudget) -> Result<Analyzed, SessionError> {
         let _span = crate::trace::span("engine_analyze");
-        let config = SystemConfig::new(AnalysisMode::Hierarchical)
-            .with_threads(1)
-            .with_budget(budget);
+        let config = SystemConfig::new(AnalysisMode::Hierarchical).with_budget(budget);
         let outcome = analyze_incremental(&self.spec, &config, self.warm.as_ref())
             .map_err(SessionError::Analysis)?;
         let replayed = outcome.reuse.replayed_results;

@@ -29,6 +29,7 @@ proptest! {
     /// Simulated per-frame worst response under sampled corruption never
     /// exceeds the SPNP bound computed with the retransmission-inflated
     /// transmission time `C' = (k+1)·C + k·E`.
+    #[test]
     fn corrupted_bus_stays_within_retransmission_bound(
         seed in 0u64..5_000,
         n_frames in 1usize..=4,
@@ -87,6 +88,7 @@ proptest! {
     /// stays admissible for the standard event model whose jitter is
     /// widened by [`FaultPlan::jitter_bound`] — i.e. the perturbed trace
     /// still satisfies the widened η⁺/δ⁻ envelope.
+    #[test]
     fn perturbed_trace_admissible_for_widened_model(
         seed in 0u64..5_000,
         period in 200i64..=1_000,
@@ -123,6 +125,7 @@ proptest! {
     /// δ⁻ of the perturbed trace can shrink by at most the displacement
     /// bound relative to the pristine trace — pairwise, not just via the
     /// model envelope.
+    #[test]
     fn perturbation_displacement_is_bounded(
         seed in 0u64..5_000,
         period in 100i64..=800,
@@ -144,6 +147,7 @@ proptest! {
 
     /// The sampled wire times themselves never exceed the closed-form
     /// bound, for any composition of corruption faults.
+    #[test]
     fn sampled_wire_times_below_bound(
         seed in 0u64..10_000,
         prob_pct in 0u32..=100,

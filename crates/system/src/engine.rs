@@ -10,20 +10,17 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hem_analysis::{
-    spnp, spp, AnalysisConfig, AnalysisError, AnalysisTask, ResponseTime, TaskResult,
-};
+use hem_analysis::{spnp, spp, AnalysisError, AnalysisTask, ResponseTime, TaskResult};
 use hem_autosar_com::{ComFrame, Signal};
 use hem_can::{BusFrame, CanFrameConfig};
 use hem_core::HierarchicalEventModel;
 use hem_event_models::ops::OutputModel;
 use hem_event_models::{approx, AnalyticCurve, CachedModel, EventModelExt, ModelRef};
-use hem_obs::{BufferedRecorder, ConvergenceTrace, Counter, IterationSnapshot, RtBound};
+use hem_obs::{ConvergenceTrace, Counter, IterationSnapshot, RtBound};
 use hem_time::Time;
 
 use crate::diagnostics::{ConvergenceStatus, Diagnostics, StopReason};
 use crate::graph::{Level, PropagationLevels};
-use crate::pool::WorkerPool;
 use crate::result::{signal_key, SystemConfig, SystemResults};
 use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec};
 use crate::warm::Replay;
@@ -395,25 +392,23 @@ struct IterationAccum {
     replayed: u64,
 }
 
-/// One global iteration's local analyses, leveled and parallel.
+/// One global iteration's local analyses, in propagation-level order.
 ///
-/// Each level of the propagation graph first resolves sequentially
-/// (activation models, packings, shared curve caches — always on the
-/// calling thread, in spec order), then analyses every entity of the
-/// level as an independent job on the pool. Results and recorder
-/// signals are merged in canonical submission order, so the outcome is
-/// bit-for-bit identical for every thread count.
+/// Each level of the propagation graph first resolves (activation
+/// models, packings, shared curve caches — in spec order), then
+/// analyses every entity of the level in canonical order: every frame
+/// of every bus, then every task of every CPU.
 ///
 /// With a warm plan, resources outside the damage cone skip all three
 /// phases' work: the resolver was seeded with their recorded models, so
 /// Phase 1 resolves nothing for them, and Phase 3 stages their recorded
-/// results instead of Phase 2 jobs. An iteration costs O(damage cone).
+/// results instead of Phase 2 analyses. An iteration costs O(damage
+/// cone).
 fn run_iteration(
     resolver: &mut Resolver<'_>,
     spec: &SystemSpec,
     config: &SystemConfig,
     levels: &PropagationLevels,
-    pool: &WorkerPool,
     warm: Option<&WarmIteration<'_>>,
 ) -> Result<IterationAccum, IterationError> {
     let mut acc = IterationAccum::default();
@@ -427,14 +422,13 @@ fn run_iteration(
         if config.local.budget.exhausted() {
             return Err(IterationError::Budget);
         }
-        run_level(resolver, config, level, pool, warm, &mut acc)?;
+        run_level(resolver, config, level, warm, &mut acc)?;
     }
 
     // Resources in a resource-level dependency cycle: the lazy
-    // sequential resolver reproduces exactly what the purely sequential
-    // engine would report (usually a `DependencyCycle` naming the same
-    // entity). Warm starts refuse cyclic systems, so this path never
-    // replays.
+    // resolver reports them exactly as a resolve-on-demand engine
+    // would (usually a `DependencyCycle` naming the same entity). Warm
+    // starts refuse cyclic systems, so this path never replays.
     for (j, frame) in spec.frames.iter().enumerate() {
         if levels.cyclic_buses.contains(&frame.bus) {
             let result = resolver
@@ -456,44 +450,21 @@ fn run_iteration(
     Ok(acc)
 }
 
-/// A per-entity busy-window job submitted to the pool.
-type EntityJob = Box<dyn FnOnce() -> Result<TaskResult, AnalysisError> + Send + 'static>;
-
-/// The local analysis configuration of one job: when the recorder is
-/// enabled, signals go to a private [`BufferedRecorder`] (registered in
-/// `buffers`, drained in job order after the batch) so the recorder sees
-/// the same signal sequence regardless of execution interleaving.
-fn job_local(
-    config: &SystemConfig,
-    buffers: &mut Vec<Option<Arc<BufferedRecorder>>>,
-) -> AnalysisConfig {
-    let mut local = config.local.clone();
-    if local.recorder.enabled() {
-        let (buffer, handle) = BufferedRecorder::handle();
-        buffers.push(Some(buffer));
-        local.recorder = handle;
-    } else {
-        buffers.push(None);
-    }
-    local
-}
-
-/// Analyses one dependency-free level: sequential resolution, parallel
-/// per-entity busy windows, deterministic merge.
+/// Analyses one dependency-free level: resolution, per-entity busy
+/// windows, staging.
 fn run_level(
     resolver: &mut Resolver<'_>,
     config: &SystemConfig,
     level: &Level,
-    pool: &WorkerPool,
     warm: Option<&WarmIteration<'_>>,
     acc: &mut IterationAccum,
 ) -> Result<(), IterationError> {
     let index = resolver.index;
     let spec = resolver.spec;
 
-    // Phase 1 — sequential resolution of the dirty resources (`None`
-    // marks a clean one). A clean resource's models were seeded from
-    // the snapshot, so it resolves, lifts, and packs nothing here; its
+    // Phase 1 — resolution of the dirty resources (`None` marks a
+    // clean one). A clean resource's models were seeded from the
+    // snapshot, so it resolves, lifts, and packs nothing here; its
     // seeded packings count towards `packing_ops` at the same point a
     // from-scratch run would pack them.
     let mut bus_sets = Vec::with_capacity(level.buses.len());
@@ -506,7 +477,7 @@ fn run_level(
             let tasks = resolver
                 .lower_bus(b)
                 .map_err(|e| IterationError::classify(e, "frame"))?;
-            Some(Arc::new(tasks))
+            Some(tasks)
         };
         bus_sets.push((b, tasks));
     }
@@ -519,47 +490,20 @@ fn run_level(
             let tasks = resolver
                 .lower_cpu(c)
                 .map_err(|e| IterationError::classify(e, "task"))?;
-            Some(Arc::new(tasks))
+            Some(tasks)
         };
         cpu_sets.push((c, tasks));
     }
 
-    // Phase 2 — one busy-window job per dirty entity, in canonical
-    // order: every frame of every bus, then every task of every CPU.
-    let mut jobs: Vec<EntityJob> = Vec::new();
-    let mut buffers: Vec<Option<Arc<BufferedRecorder>>> = Vec::new();
-    let mut kinds: Vec<&'static str> = Vec::new();
-    for tasks in bus_sets.iter().filter_map(|(_, t)| t.as_ref()) {
-        for i in 0..tasks.len() {
-            let local = job_local(config, &mut buffers);
-            let tasks = tasks.clone();
-            kinds.push("frame");
-            jobs.push(Box::new(move || spnp::analyze_one(&tasks, i, &local)));
-        }
-    }
-    for tasks in cpu_sets.iter().filter_map(|(_, t)| t.as_ref()) {
-        for i in 0..tasks.len() {
-            let local = job_local(config, &mut buffers);
-            let tasks = tasks.clone();
-            kinds.push("task");
-            jobs.push(Box::new(move || spp::analyze_one(&tasks, i, &local)));
-        }
-    }
-    let outcomes = pool.run_batch(jobs);
-
-    // Phase 3 — deterministic merge: every job of a started level has
-    // completed; recorder signals replay in job order, and the
-    // lowest-index failure (if any) is the one reported, independent of
-    // which worker hit it first. Clean resources stage the snapshot's
-    // recorded results in the same canonical positions.
-    for buffer in buffers.iter().flatten() {
-        buffer.drain_into(&config.local.recorder);
-    }
-    let mut results = outcomes.into_iter().zip(kinds);
+    // Phases 2 and 3 — one busy-window analysis per dirty entity, and
+    // the snapshot's recorded result per clean one, staged in the same
+    // canonical positions. Every entity of a started level is analysed
+    // even after a failure, so the recorder sees the whole level; the
+    // lowest-index failure is the one reported.
     let mut first_err: Option<IterationError> = None;
-    let record_err = |e: AnalysisError, kind: &'static str, slot: &mut Option<IterationError>| {
-        if slot.is_none() {
-            *slot = Some(IterationError::classify(SystemError::Analysis(e), kind));
+    let mut record_err = |e: AnalysisError, kind: &'static str| {
+        if first_err.is_none() {
+            first_err = Some(IterationError::classify(SystemError::Analysis(e), kind));
         }
     };
     let replayed = |results: &'_ BTreeMap<String, TaskResult>, name: &str| -> TaskResult {
@@ -571,31 +515,31 @@ fn run_level(
     let mut hits = 0u64;
     let mut staged_frames: Vec<(usize, TaskResult)> = Vec::new();
     for (b, tasks) in &bus_sets {
-        for &j in &index.bus_frames[*b] {
-            if tasks.is_none() {
+        for (i, &j) in index.bus_frames[*b].iter().enumerate() {
+            let Some(tasks) = tasks else {
                 let w = warm.expect("clean flags imply a warm plan");
                 staged_frames.push((j, replayed(w.replay.frames, &spec.frames[j].name)));
                 hits += 1;
                 continue;
-            }
-            match results.next().expect("one outcome per frame job") {
-                (Ok(result), _) => staged_frames.push((j, result)),
-                (Err(e), kind) => record_err(e, kind, &mut first_err),
+            };
+            match spnp::analyze_one(tasks, i, &config.local) {
+                Ok(result) => staged_frames.push((j, result)),
+                Err(e) => record_err(e, "frame"),
             }
         }
     }
     let mut staged_tasks: Vec<TaskResult> = Vec::new();
     for (c, tasks) in &cpu_sets {
-        for &i in &index.cpu_tasks[*c] {
-            if tasks.is_none() {
+        for (k, &i) in index.cpu_tasks[*c].iter().enumerate() {
+            let Some(tasks) = tasks else {
                 let w = warm.expect("clean flags imply a warm plan");
                 staged_tasks.push(replayed(w.replay.tasks, &spec.tasks[i].name));
                 hits += 1;
                 continue;
-            }
-            match results.next().expect("one outcome per task job") {
-                (Ok(result), _) => staged_tasks.push(result),
-                (Err(e), kind) => record_err(e, kind, &mut first_err),
+            };
+            match spp::analyze_one(tasks, k, &config.local) {
+                Ok(result) => staged_tasks.push(result),
+                Err(e) => record_err(e, "task"),
             }
         }
     }
@@ -675,10 +619,8 @@ pub(crate) fn run_with(
     warm: Option<&EngineWarm<'_>>,
     capture: bool,
 ) -> Result<(RunOutcome, Option<Capture>, u64), SystemError> {
-    // The topology is fixed across iterations: index it once, spin the
-    // pool up once.
+    // The topology is fixed across iterations: index it once.
     let index = SpecIndex::of(spec);
-    let pool = WorkerPool::new(config.resolved_threads());
     let started = Instant::now();
     let recorder = config.local.recorder.clone();
     let _run_span = recorder.span("analyze", "engine");
@@ -814,17 +756,11 @@ pub(crate) fn run_with(
         if let Some(w) = &warm_iter {
             resolver.seed(w);
         }
-        let iteration_outcome = run_iteration(
-            &mut resolver,
-            spec,
-            config,
-            levels,
-            &pool,
-            warm_iter.as_ref(),
-        );
+        let iteration_outcome =
+            run_iteration(&mut resolver, spec, config, levels, warm_iter.as_ref());
         // Flush the shared curve caches' buffered hit/miss counters at a
         // deterministic point, in cache-creation order — never from a
-        // worker or a late `Drop`.
+        // late `Drop`.
         resolver.flush_caches();
         drop(iter_span);
         let acc = match iteration_outcome {
@@ -1132,8 +1068,8 @@ impl<'a> Resolver<'a> {
     /// Returns the closed-form analytic curve of `model` when an exact
     /// lift exists (see `docs/CURVES.md`). Results are bit-for-bit
     /// identical either way — the lift only changes how queries are
-    /// answered. Runs during sequential resolution, so the lift /
-    /// fallback tallies are deterministic at every thread count. Call
+    /// answered. Runs during resolution, in spec order, so the lift /
+    /// fallback tallies are deterministic. Call
     /// sites skip the memoizing cache wrapper for a lifted curve: it
     /// already answers every query with an O(1) head lookup, and a
     /// hash-and-lock layer on top of that only costs time.

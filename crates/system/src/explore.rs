@@ -32,15 +32,14 @@
 //! candidate visit order, per-candidate verdicts, prune counts, best
 //! index, and the `CandidatesVisited` / `CandidatesPruned` /
 //! `ExploreWarmHits` counters — is bit-for-bit identical at every
-//! thread count. Packings are evaluated in parallel, but candidates
+//! thread count. Packings are evaluated in parallel by
+//! [`parallel_map`], but candidates
 //! within a packing run sequentially on one worker, and all
 //! aggregation happens in enumeration order.
 //!
 //! See `docs/EXPLORATION.md` for the full contract and CLI usage.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hem_analysis::assignment::{audsley, deadline_monotonic, DeadlineTask, Scheduling};
 use hem_analysis::necessary::{rejection, LoadTask, ResourceLoad};
@@ -54,6 +53,7 @@ use hem_obs::Counter;
 use hem_time::Time;
 
 use crate::dsl::{Scenario, SourceDecl};
+use crate::parallel::parallel_map;
 use crate::path::{analyze_path, signal_paths};
 use crate::spec::{ActivationSpec, FrameSpec, SystemSpec, TaskSpec};
 use crate::warm::{analyze_incremental, WarmStart};
@@ -870,14 +870,11 @@ pub fn explore(
 ) -> Result<ExploreOutcome, SystemError> {
     let recorder = config.local.recorder.clone();
     let chunks = enumerate(problem, config)?;
-    let threads = config.resolved_threads();
     // Candidates inside a chunk share warm snapshots sequentially;
-    // chunks are independent, so they fan out over the worker pool.
-    // Inner analyses run single-threaded: parallelism across
-    // candidates composes better and keeps thread counts from
-    // oversubscribing.
-    let inner = config.clone().with_threads(1);
-    let chunk_results = run_chunks(chunks, threads, |chunk| evaluate(problem, &inner, chunk));
+    // chunks are independent, so they fan out.
+    let chunk_results = parallel_map(chunks, config.resolved_threads(), |chunk| {
+        evaluate(problem, config, chunk)
+    });
 
     let mut reports = Vec::new();
     for result in chunk_results {
@@ -1317,51 +1314,6 @@ fn score(
             .max()
             .unwrap_or(worst_task),
     }
-}
-
-/// One chunk's evaluation result (the reports of all its candidates).
-type ChunkResult = Result<Vec<CandidateReport>, SystemError>;
-
-/// Order-deterministic parallel map over chunks (same idiom as
-/// `hem_bench::parallel::parallel_map`, local to avoid a dependency
-/// cycle): slot `i` always holds chunk `i`'s result.
-fn run_chunks<F>(chunks: Vec<Chunk>, threads: usize, f: F) -> Vec<ChunkResult>
-where
-    F: Fn(Chunk) -> ChunkResult + Sync,
-{
-    let threads = threads.max(1).min(chunks.len().max(1));
-    if threads == 1 {
-        return chunks.into_iter().map(f).collect();
-    }
-    let n = chunks.len();
-    let work: Vec<Mutex<Option<Chunk>>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let slots: Vec<Mutex<Option<ChunkResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let chunk = work[i]
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("chunk claimed once");
-                let result = f(chunk);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every chunk computed")
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -12,11 +12,12 @@
 //! This module derives the resulting resource-level dependency graph
 //! from a [`SystemSpec`] — edges `bus → resource`, including the HEM
 //! pack/unpack edges — and levels it topologically. Resources within a
-//! level are mutually independent, which is what the parallel engine's
-//! per-level job batches rely on. Resources caught in a resource-level
-//! cycle are set aside: the engine analyses them through the lazy
-//! sequential resolver, which reports [`SystemError::DependencyCycle`]
-//! with the exact entity the purely sequential engine would name.
+//! level are mutually independent; the level order is the engine's
+//! resolution order, which fixes where packings are counted and what
+//! warm starts replay by. Resources caught in a resource-level cycle are
+//! set aside: the engine analyses them through the lazy resolver, which
+//! reports [`SystemError::DependencyCycle`] with the exact entity a
+//! resolve-on-demand engine would name.
 //!
 //! [`SystemError::DependencyCycle`]: crate::SystemError::DependencyCycle
 
@@ -25,7 +26,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use crate::spec::{ActivationSpec, FrameSpec, SystemSpec, TaskSpec};
 
 /// One dependency-free group of resources: every bus and CPU in a level
-/// can be analysed concurrently once all earlier levels are done.
+/// can be analysed once all earlier levels are done.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Level {
     /// Buses of this level, in spec order.
@@ -508,7 +509,7 @@ mod tests {
         assert_eq!(levels.levels.len(), 3);
         assert_eq!(levels.levels[0].buses, ["can0"]);
         // The gateway CPU reads can0 only; it levels right after can0,
-        // concurrently with can1 (whose packing depends on can0 too).
+        // in the same level as can1 (whose packing depends on can0 too).
         assert_eq!(levels.levels[1].cpus, ["gw"]);
         assert_eq!(levels.levels[1].buses, ["can1"]);
         assert_eq!(levels.levels[2].cpus, ["sink"]);

@@ -41,8 +41,8 @@ mod engine;
 mod error;
 pub mod explore;
 pub mod graph;
+pub mod parallel;
 pub mod path;
-mod pool;
 pub mod report;
 mod result;
 pub mod sensitivity;

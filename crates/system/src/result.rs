@@ -36,11 +36,11 @@ pub struct SystemConfig {
     /// conservative for realistic topologies; raise it for unusually
     /// deep task chains.
     pub divergence_streak: u64,
-    /// Number of analysis threads. `0` (the default) resolves from the
-    /// `HEM_THREADS` environment variable, falling back to `1`
-    /// (sequential). The engine is bit-for-bit deterministic in this
-    /// value: every thread count produces identical results,
-    /// diagnostics, and recorder counters (see `docs/PARALLELISM.md`).
+    /// Width of [`explore`](crate::explore())'s candidate-chunk
+    /// fan-out. `0` (the default) resolves from the `HEM_THREADS`
+    /// environment variable, falling back to `1`. The analysis engine
+    /// itself is sequential and ignores this value; exploration is
+    /// bit-for-bit deterministic in it (see `docs/PARALLELISM.md`).
     pub threads: usize,
     /// Replace resolved event models with closed-form
     /// [`AnalyticCurve`](hem_event_models::AnalyticCurve) fast paths
@@ -68,7 +68,7 @@ impl SystemConfig {
         }
     }
 
-    /// This configuration using the given number of analysis threads
+    /// This configuration with the given exploration fan-out width
     /// (`0` = resolve from `HEM_THREADS`, default `1`).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -76,18 +76,14 @@ impl SystemConfig {
         self
     }
 
-    /// The effective thread count: `threads` when non-zero, otherwise
-    /// the `HEM_THREADS` environment variable, otherwise `1`.
+    /// The effective fan-out width: `threads` when non-zero, otherwise
+    /// [`env_threads`](crate::parallel::env_threads).
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             return self.threads;
         }
-        std::env::var("HEM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
+        crate::parallel::env_threads()
     }
 
     /// This configuration with the analytic fast path pinned on or off

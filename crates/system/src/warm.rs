@@ -23,8 +23,7 @@
 //! `min(i, n)` (after its convergence iteration `n` a converged
 //! sub-system repeats itself). Replay therefore preserves results,
 //! convergence traces, iteration counts, stop reasons, and divergence
-//! diagnostics **bit for bit** — the same correctness bar as the
-//! parallel engine's, and enforced at every thread count by the
+//! diagnostics **bit for bit**, enforced by the
 //! `incremental_equivalence` suite. The same argument covers the
 //! resolved models: an entity outside the cone resolves to models equal
 //! to the recorded ones. Only *work* counters (busy-window iterations,
@@ -128,7 +127,8 @@ impl WarmStart {
     }
 
     /// Whether the configuration knobs that shape per-entity results
-    /// match the snapshot's. Thread count and global stop limits
+    /// match the snapshot's. `threads` (explore's fan-out width, which no
+    /// analysis reads) and the global stop limits
     /// (`max_global_iterations`, `divergence_streak`) are deliberately
     /// not compared: they never alter the per-iteration trajectory,
     /// only where a run stops — and replay follows the new run's own

@@ -4,13 +4,13 @@
 //! analytic curves (`SystemConfig::with_analytic`) changes *nothing*
 //! observable: response times, per-entity statuses, stop reason,
 //! convergence trace, and recorder counter totals are bit-for-bit
-//! identical with the fast path forced on and forced off, at every
-//! thread count. Only the `analytic_lifts` / `analytic_fallbacks`
-//! tallies (zero when disabled), the cache *work* counters
-//! (`cache_hits` / `cache_misses` / `curve_evaluations` — the fast
-//! path exists precisely to answer queries without recursing through
-//! chained caches), and wall-clock observations may differ. Within a
-//! leg, every counter remains thread-count invariant.
+//! identical with the fast path forced on and forced off. Only the
+//! `analytic_lifts` / `analytic_fallbacks` tallies (zero when
+//! disabled), the cache *work* counters (`cache_hits` /
+//! `cache_misses` / `curve_evaluations` — the fast path exists
+//! precisely to answer queries without recursing through chained
+//! caches), and wall-clock observations may differ. Within a leg,
+//! every counter is identical from run to run.
 
 use std::collections::BTreeMap;
 
@@ -33,11 +33,10 @@ struct Run {
 }
 
 /// Runs the analysis with the analytic fast path explicitly pinned.
-fn run(spec: &SystemSpec, mode: AnalysisMode, threads: usize, analytic: bool) -> Run {
+fn run(spec: &SystemSpec, mode: AnalysisMode, analytic: bool) -> Run {
     let (recorder, handle) = MemoryRecorder::handle();
     let config = SystemConfig::new(mode)
         .with_recorder(handle)
-        .with_threads(threads)
         .with_analytic(Some(analytic));
     let outcome = analyze_robust(spec, &config);
     let snapshot = recorder.snapshot();
@@ -142,23 +141,16 @@ fn assert_identical(on: &Run, off: &Run, strict_counters: bool, context: &str) {
     );
 }
 
-/// The full gate: fast path on vs off at 1, 4, and 8 threads, and the
-/// enabled runs also thread-count invariant among themselves.
+/// The full gate: fast path on vs off, and the enabled leg identical
+/// from run to run.
 fn check_on_off(spec: &SystemSpec, mode: AnalysisMode) {
-    let reference = run(spec, mode, 1, true);
-    for threads in [1usize, 4, 8] {
-        let on = run(spec, mode, threads, true);
-        let off = run(spec, mode, threads, false);
-        assert_identical(&on, &off, false, &format!("{threads} threads on-vs-off"));
-        // Within the enabled leg every counter — including the cache
-        // work and lift tallies — must stay thread-count invariant.
-        assert_identical(
-            &on,
-            &reference,
-            true,
-            &format!("{threads} threads vs 1-thread reference"),
-        );
-    }
+    let reference = run(spec, mode, true);
+    let on = run(spec, mode, true);
+    let off = run(spec, mode, false);
+    assert_identical(&on, &off, false, "on-vs-off");
+    // Within the enabled leg every counter — including the cache work
+    // and lift tallies — must repeat exactly.
+    assert_identical(&on, &reference, true, "rerun vs reference");
 }
 
 fn external(model: hem_event_models::ModelRef) -> ActivationSpec {
@@ -246,10 +238,10 @@ fn fig2_system_identical_on_and_off() {
 fn fig2_enabled_run_actually_lifts() {
     // Guard against the fast path silently never engaging: the Fig. 2
     // profile is built entirely from liftable shapes.
-    let on = run(&fig2_spec(), AnalysisMode::Hierarchical, 1, true);
+    let on = run(&fig2_spec(), AnalysisMode::Hierarchical, true);
     let lifts = on.snapshot.counter(Counter::AnalyticLifts);
     assert!(lifts > 0, "expected analytic lifts, got none");
-    let off = run(&fig2_spec(), AnalysisMode::Hierarchical, 1, false);
+    let off = run(&fig2_spec(), AnalysisMode::Hierarchical, false);
     assert_eq!(off.snapshot.counter(Counter::AnalyticLifts), 0);
     assert_eq!(off.snapshot.counter(Counter::AnalyticFallbacks), 0);
 }

@@ -1,14 +1,14 @@
 //! Equivalence of warm-started and from-scratch analysis.
 //!
 //! The incremental engine promises results **bit-for-bit identical** to
-//! a from-scratch run at every thread count: response times, per-entity
-//! statuses, convergence traces, stop reasons, and iteration counts.
-//! This suite generates random task graphs, applies random single- and
+//! a from-scratch run: response times, per-entity statuses,
+//! convergence traces, stop reasons, and iteration counts. This suite
+//! generates random task graphs, applies random single- and
 //! multi-entity mutations (periods, jitter, WCET, priorities, frame
 //! packing, bus timing), chains them through warm-start snapshots, and
 //! compares every link of the chain against a cold run of the same spec
-//! at threads 1, 2, 4, and 8 — including the full-fallback paths
-//! (structural changes, configuration changes, dependency cycles).
+//! — including the full-fallback paths (structural changes,
+//! configuration changes, dependency cycles).
 //!
 //! Beyond results, every resolved model a warm run hands back — task
 //! activations, frame activations and outputs, unpacked signals — must
@@ -17,10 +17,7 @@
 //! Counter contract (see `docs/INCREMENTAL.md`): `global_iterations`
 //! and `packing_ops` must equal the cold run's exactly; work counters
 //! (busy-window iterations, analytic lifts and fallbacks, curve-cache
-//! traffic) shrink on a warm run in proportion to the damage cone but
-//! must still be identical across thread counts.
-
-use std::collections::BTreeMap;
+//! traffic) shrink on a warm run in proportion to the damage cone.
 
 use proptest::prelude::*;
 
@@ -230,11 +227,9 @@ struct Run<O> {
     snapshot: hem_obs::MetricsSnapshot,
 }
 
-fn run_cold(spec: &SystemSpec, mode: AnalysisMode, threads: usize) -> Run<RobustAnalysis> {
+fn run_cold(spec: &SystemSpec, mode: AnalysisMode) -> Run<RobustAnalysis> {
     let (recorder, handle) = MemoryRecorder::handle();
-    let config = SystemConfig::new(mode)
-        .with_recorder(handle)
-        .with_threads(threads);
+    let config = SystemConfig::new(mode).with_recorder(handle);
     let outcome = analyze_robust(spec, &config).expect("generated specs are well-formed");
     Run {
         outcome,
@@ -245,13 +240,10 @@ fn run_cold(spec: &SystemSpec, mode: AnalysisMode, threads: usize) -> Run<Robust
 fn run_warm(
     spec: &SystemSpec,
     mode: AnalysisMode,
-    threads: usize,
     warm: Option<&WarmStart>,
 ) -> Run<IncrementalOutcome> {
     let (recorder, handle) = MemoryRecorder::handle();
-    let config = SystemConfig::new(mode)
-        .with_recorder(handle)
-        .with_threads(threads);
+    let config = SystemConfig::new(mode).with_recorder(handle);
     let outcome =
         analyze_incremental(spec, &config, warm).expect("generated specs are well-formed");
     Run {
@@ -374,66 +366,30 @@ fn assert_matches_cold(
     }
 }
 
-/// Counters stripped of nothing — warm runs must agree on *all* of them
-/// across thread counts, including work counters and warm-start
-/// telemetry.
-fn counters(run: &Run<IncrementalOutcome>) -> BTreeMap<&'static str, u64> {
-    run.snapshot.counters.clone().into_iter().collect()
-}
-
-/// Runs the mutation chain warm at every thread count, cold at thread
-/// count 1, and cross-checks everything.
+/// Runs the mutation chain warm and cold and cross-checks every link.
 fn check_chain(specs: &[SystemSpec], mode: AnalysisMode) {
-    let colds: Vec<Run<RobustAnalysis>> = specs.iter().map(|s| run_cold(s, mode, 1)).collect();
-    let mut reference: Vec<Run<IncrementalOutcome>> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let mut warm: Option<WarmStart> = None;
-        for (step, spec) in specs.iter().enumerate() {
-            let mut run = run_warm(spec, mode, threads, warm.as_ref());
-            let label = format!("step {step}, {threads} threads");
-            assert_matches_cold(spec, &run, &colds[step], &label);
-            if step == 0 {
-                assert_eq!(
-                    run.outcome.reuse.fallback,
-                    Some(FallbackReason::NoSnapshot),
-                    "{label}: first link is cold"
-                );
-            } else if colds[step - 1].outcome.results.is_complete() {
-                assert!(run.outcome.reuse.warm, "{label}: expected warm reuse");
-            }
-            // Converged runs snapshot; stopped runs must not.
+    let colds: Vec<Run<RobustAnalysis>> = specs.iter().map(|s| run_cold(s, mode)).collect();
+    let mut warm: Option<WarmStart> = None;
+    for (step, spec) in specs.iter().enumerate() {
+        let mut run = run_warm(spec, mode, warm.as_ref());
+        let label = format!("step {step}");
+        assert_matches_cold(spec, &run, &colds[step], &label);
+        if step == 0 {
             assert_eq!(
-                run.outcome.snapshot.is_some(),
-                run.outcome.analysis.results.is_complete(),
-                "{label}: snapshot presence"
+                run.outcome.reuse.fallback,
+                Some(FallbackReason::NoSnapshot),
+                "{label}: first link is cold"
             );
-            warm = run.outcome.snapshot.take();
-            if threads == 1 {
-                reference.push(run);
-            } else {
-                // Thread-count determinism of the warm path: identical
-                // reuse reports and identical counters, work counters
-                // and warm-start telemetry included.
-                let reference = &reference[step];
-                assert_eq!(
-                    run.outcome.reuse.warm, reference.outcome.reuse.warm,
-                    "{label}: reuse.warm"
-                );
-                assert_eq!(
-                    run.outcome.reuse.fallback, reference.outcome.reuse.fallback,
-                    "{label}: reuse.fallback"
-                );
-                assert_eq!(
-                    run.outcome.reuse.dirty_resources, reference.outcome.reuse.dirty_resources,
-                    "{label}: damage cone"
-                );
-                assert_eq!(
-                    run.outcome.reuse.replayed_results, reference.outcome.reuse.replayed_results,
-                    "{label}: replayed results"
-                );
-                assert_eq!(counters(&run), counters(reference), "{label}: counters");
-            }
+        } else if colds[step - 1].outcome.results.is_complete() {
+            assert!(run.outcome.reuse.warm, "{label}: expected warm reuse");
         }
+        // Converged runs snapshot; stopped runs must not.
+        assert_eq!(
+            run.outcome.snapshot.is_some(),
+            run.outcome.analysis.results.is_complete(),
+            "{label}: snapshot presence"
+        );
+        warm = run.outcome.snapshot.take();
     }
 }
 
@@ -493,31 +449,19 @@ proptest! {
                 StandardEventModel::periodic(Time::new(5_000)).expect("valid").shared(),
             ),
         });
-        for threads in [1usize, 4] {
-            let first = run_warm(&base, AnalysisMode::Hierarchical, threads, None);
-            let snapshot = first.outcome.snapshot;
-            prop_assume!(snapshot.is_some());
-            let second = run_warm(
-                &grown,
-                AnalysisMode::Hierarchical,
-                threads,
-                snapshot.as_ref(),
-            );
-            assert_eq!(
-                second.outcome.reuse.fallback,
-                Some(FallbackReason::StructuralChange)
-            );
-            assert!(!second.outcome.reuse.warm);
-            assert_eq!(second.outcome.reuse.replayed_results, 0);
-            assert!((second.outcome.reuse.cone_fraction() - 1.0).abs() < f64::EPSILON);
-            let cold = run_cold(&grown, AnalysisMode::Hierarchical, threads);
-            assert_matches_cold(
-                &grown,
-                &second,
-                &cold,
-                &format!("structural, {threads} threads"),
-            );
-        }
+        let first = run_warm(&base, AnalysisMode::Hierarchical, None);
+        let snapshot = first.outcome.snapshot;
+        prop_assume!(snapshot.is_some());
+        let second = run_warm(&grown, AnalysisMode::Hierarchical, snapshot.as_ref());
+        assert_eq!(
+            second.outcome.reuse.fallback,
+            Some(FallbackReason::StructuralChange)
+        );
+        assert!(!second.outcome.reuse.warm);
+        assert_eq!(second.outcome.reuse.replayed_results, 0);
+        assert!((second.outcome.reuse.cone_fraction() - 1.0).abs() < f64::EPSILON);
+        let cold = run_cold(&grown, AnalysisMode::Hierarchical);
+        assert_matches_cold(&grown, &second, &cold, "structural");
     }
 }
 
@@ -526,10 +470,10 @@ proptest! {
 #[test]
 fn unchanged_spec_replays_fully() {
     let spec = build_spec(7, 2, 2);
-    let cold = run_cold(&spec, AnalysisMode::Hierarchical, 1);
-    let first = run_warm(&spec, AnalysisMode::Hierarchical, 1, None);
+    let cold = run_cold(&spec, AnalysisMode::Hierarchical);
+    let first = run_warm(&spec, AnalysisMode::Hierarchical, None);
     let snapshot = first.outcome.snapshot.expect("converged");
-    let second = run_warm(&spec, AnalysisMode::Hierarchical, 1, Some(&snapshot));
+    let second = run_warm(&spec, AnalysisMode::Hierarchical, Some(&snapshot));
     assert!(second.outcome.reuse.warm);
     assert!(second.outcome.reuse.dirty_resources.is_empty());
     assert_eq!(second.outcome.reuse.cone_fraction(), 0.0);
@@ -555,14 +499,14 @@ fn unchanged_spec_replays_fully() {
 #[test]
 fn config_changes_fall_back() {
     let spec = build_spec(11, 1, 1);
-    let first = run_warm(&spec, AnalysisMode::Hierarchical, 1, None);
+    let first = run_warm(&spec, AnalysisMode::Hierarchical, None);
     let snapshot = first.outcome.snapshot.expect("converged");
-    let second = run_warm(&spec, AnalysisMode::Flat, 1, Some(&snapshot));
+    let second = run_warm(&spec, AnalysisMode::Flat, Some(&snapshot));
     assert_eq!(
         second.outcome.reuse.fallback,
         Some(FallbackReason::ConfigChanged)
     );
-    let cold = run_cold(&spec, AnalysisMode::Flat, 1);
+    let cold = run_cold(&spec, AnalysisMode::Flat);
     assert_matches_cold(&spec, &second, &cold, "config change");
     assert_eq!(
         second.snapshot.counters.get("full_fallbacks").copied(),
@@ -612,7 +556,7 @@ fn cyclic_target_falls_back() {
                 signal: "x".into(),
             },
         });
-    let first = run_warm(&base, AnalysisMode::Hierarchical, 1, None);
+    let first = run_warm(&base, AnalysisMode::Hierarchical, None);
     let snapshot = first.outcome.snapshot.expect("converged");
     // Close the loop: F0 now carries t1's output, and t1 reads F1 —
     // b0 → gw → b1 → gw is a resource-level cycle. The spec changed
@@ -669,19 +613,19 @@ fn cycle_in_unchanged_topology_is_refused_at_plan_time() {
     // *different* structural target and verify the reported reason is
     // StructuralChange, not a panic inside cone planning.
     let base = build_spec(3, 1, 1);
-    let first = run_warm(&base, AnalysisMode::Hierarchical, 1, None);
+    let first = run_warm(&base, AnalysisMode::Hierarchical, None);
     let snapshot = first.outcome.snapshot.expect("converged");
     let mut shrunk = base.clone();
     shrunk.tasks.pop();
     if shrunk.tasks.is_empty() {
         return;
     }
-    let second = run_warm(&shrunk, AnalysisMode::Hierarchical, 1, Some(&snapshot));
+    let second = run_warm(&shrunk, AnalysisMode::Hierarchical, Some(&snapshot));
     assert_eq!(
         second.outcome.reuse.fallback,
         Some(FallbackReason::StructuralChange)
     );
-    let cold = run_cold(&shrunk, AnalysisMode::Hierarchical, 1);
+    let cold = run_cold(&shrunk, AnalysisMode::Hierarchical);
     assert_matches_cold(&shrunk, &second, &cold, "shrunk topology");
 }
 
@@ -762,7 +706,6 @@ fn warm_resolution_is_cone_proportional() {
         SystemConfig::new(AnalysisMode::Hierarchical)
             .with_recorder(handle)
             .with_analytic(Some(true))
-            .with_threads(1)
     };
     let run = |spec: &SystemSpec, warm: Option<&WarmStart>| {
         let (recorder, handle) = MemoryRecorder::handle();

@@ -1,12 +1,16 @@
-//! Determinism of the parallel analysis engine.
+//! Determinism of the order-deterministic fan-out.
 //!
-//! The engine promises bit-for-bit identical outcomes for every thread
-//! count: response times, per-entity statuses, stop reason, convergence
-//! trace, and recorder counter totals. This suite generates random task
-//! graphs — multiple buses, HEM pack/unpack stages, task-output chains,
-//! occasionally overloaded or cyclic — and replays each with 1, 2, 4,
-//! and 8 threads, requiring equality on everything except wall-clock
-//! observations (`Diagnostics::elapsed`, `span_us/*` histograms).
+//! Parallelism lives only across independent analyses:
+//! [`hem_system::parallel::parallel_map`] must hand back, at every
+//! thread count, exactly what a sequential loop over the same items
+//! would: response times, per-entity statuses, stop reason,
+//! convergence trace, and recorder counter totals. This suite
+//! generates batches of random task graphs — multiple buses, HEM
+//! pack/unpack stages, task-output chains, occasionally overloaded or
+//! cyclic — analyses each batch through `parallel_map` with 1, 2, 4,
+//! and 8 threads, one recorder per item, and requires per-item
+//! equality on everything except wall-clock observations
+//! (`Diagnostics::elapsed`, `span_us/*` histograms).
 
 use std::collections::BTreeMap;
 
@@ -17,6 +21,7 @@ use hem_autosar_com::{FrameType, TransferProperty};
 use hem_can::{CanBusConfig, FrameFormat};
 use hem_event_models::{EventModelExt, StandardEventModel};
 use hem_obs::{HistogramData, MemoryRecorder};
+use hem_system::parallel::parallel_map;
 use hem_system::{
     analyze_robust, ActivationSpec, AnalysisMode, FrameSpec, RobustAnalysis, SignalSpec,
     SystemConfig, SystemSpec, TaskSpec,
@@ -153,12 +158,10 @@ fn build_spec(seed: u64, buses: usize, cpus: usize, tight: bool) -> SystemSpec {
     spec
 }
 
-/// Runs the analysis with a fresh recorder and the given thread count.
-fn run(spec: &SystemSpec, mode: AnalysisMode, threads: usize) -> Run {
+/// Runs the analysis with a fresh recorder.
+fn run(spec: &SystemSpec, mode: AnalysisMode) -> Run {
     let (recorder, handle) = MemoryRecorder::handle();
-    let config = SystemConfig::new(mode)
-        .with_recorder(handle)
-        .with_threads(threads);
+    let config = SystemConfig::new(mode).with_recorder(handle);
     let outcome = analyze_robust(spec, &config);
     let snapshot = recorder.snapshot();
     Run { outcome, snapshot }
@@ -246,12 +249,32 @@ fn assert_identical(reference: &Run, candidate: &Run, threads: usize) {
     );
 }
 
-fn check_all_thread_counts(spec: &SystemSpec, mode: AnalysisMode) {
-    let reference = run(spec, mode, 1);
+/// Analyses every `(spec, mode)` item through `parallel_map` at 1, 2,
+/// 4, and 8 threads and requires each item to match the sequential
+/// reference.
+fn check_batch(batch: &[(SystemSpec, AnalysisMode)]) {
+    let analyse = |(spec, mode): &(SystemSpec, AnalysisMode)| run(spec, *mode);
+    let reference = parallel_map(batch.iter().collect(), 1, analyse);
     for threads in [2, 4, 8] {
-        let candidate = run(spec, mode, threads);
-        assert_identical(&reference, &candidate, threads);
+        let candidate = parallel_map(batch.iter().collect(), threads, analyse);
+        assert_eq!(candidate.len(), reference.len(), "{threads} threads");
+        for (reference, candidate) in reference.iter().zip(&candidate) {
+            assert_identical(reference, candidate, threads);
+        }
     }
+}
+
+/// A batch of four generated systems seeded from `seed`, all in `mode`.
+fn generated_batch(
+    seed: u64,
+    buses: usize,
+    cpus: usize,
+    tight: bool,
+    mode: AnalysisMode,
+) -> Vec<(SystemSpec, AnalysisMode)> {
+    (0..4)
+        .map(|i| (build_spec(seed.wrapping_add(i), buses, cpus, tight), mode))
+        .collect()
 }
 
 proptest! {
@@ -263,8 +286,7 @@ proptest! {
         buses in 1usize..=2,
         cpus in 1usize..=2,
     ) {
-        let spec = build_spec(seed, buses, cpus, false);
-        check_all_thread_counts(&spec, AnalysisMode::Hierarchical);
+        check_batch(&generated_batch(seed, buses, cpus, false, AnalysisMode::Hierarchical));
     }
 
     #[test]
@@ -274,19 +296,17 @@ proptest! {
     ) {
         // Overload-prone systems: divergence detection, local analysis
         // failures, and partial salvage must not depend on threads.
-        let spec = build_spec(seed, 1, cpus, true);
-        check_all_thread_counts(&spec, AnalysisMode::Hierarchical);
+        check_batch(&generated_batch(seed, 1, cpus, true, AnalysisMode::Hierarchical));
     }
 
     #[test]
     fn flat_mode_is_thread_count_invariant(seed in 0u64..1 << 48) {
-        let spec = build_spec(seed, 2, 2, false);
-        check_all_thread_counts(&spec, AnalysisMode::Flat);
+        check_batch(&generated_batch(seed, 2, 2, false, AnalysisMode::Flat));
     }
 }
 
-/// The paper's Fig. 2 system, all three modes, threads 1 vs 2, 4, 8 —
-/// the concrete anchor behind the random sweep above.
+/// The paper's Fig. 2 system, all three modes as one batch, threads 1
+/// vs 2, 4, 8 — the concrete anchor behind the random sweep above.
 #[test]
 fn fig2_shape_system_matches_across_thread_counts() {
     let spec = SystemSpec::new()
@@ -342,17 +362,19 @@ fn fig2_shape_system_matches_across_thread_counts() {
                 signal: "s2".into(),
             },
         });
-    for mode in [
+    let batch: Vec<_> = [
         AnalysisMode::Flat,
         AnalysisMode::FlatSem,
         AnalysisMode::Hierarchical,
-    ] {
-        check_all_thread_counts(&spec, mode);
-    }
+    ]
+    .into_iter()
+    .map(|mode| (spec.clone(), mode))
+    .collect();
+    check_batch(&batch);
 }
 
-/// Cyclic topologies run through the sequential fallback on every
-/// thread count and must report the identical `DependencyCycle`.
+/// Cyclic topologies run through the engine's lazy fallback and must
+/// report the identical `DependencyCycle` at every fan-out width.
 #[test]
 fn cyclic_systems_fail_identically_across_thread_counts() {
     let spec = SystemSpec::new()
@@ -407,17 +429,19 @@ fn cyclic_systems_fail_identically_across_thread_counts() {
                 signal: "y".into(),
             },
         });
-    let reference = run(&spec, AnalysisMode::Hierarchical, 1);
+    let reference = run(&spec, AnalysisMode::Hierarchical);
     assert!(
         reference.outcome.is_err(),
         "cycle must be rejected: {:?}",
         reference.outcome.as_ref().map(|_| "ok")
     );
-    for threads in [2, 4, 8] {
-        assert_identical(
-            &reference,
-            &run(&spec, AnalysisMode::Hierarchical, threads),
-            threads,
-        );
-    }
+    let batch: Vec<_> = [
+        AnalysisMode::Flat,
+        AnalysisMode::FlatSem,
+        AnalysisMode::Hierarchical,
+    ]
+    .into_iter()
+    .map(|mode| (spec.clone(), mode))
+    .collect();
+    check_batch(&batch);
 }
