@@ -208,7 +208,7 @@ mod tests {
             assert!((2..=4).contains(&s.len()));
             assert!(s.chars().all(|c| c == 'x'));
             let t = generate("y?z+", &mut r);
-            assert!(t.len() >= 1 && t.len() <= 1 + UNBOUNDED_CAP);
+            assert!(!t.is_empty() && t.len() <= 1 + UNBOUNDED_CAP);
         }
     }
 

@@ -245,8 +245,13 @@ mod tests {
     fn blocking_adds_directly() {
         let hi = periodic_task("hi", 10, 1, 100);
         let lo = periodic_task("lo", 10, 2, 100);
-        let without =
-            response_time(&lo, &[hi.clone()], Time::ZERO, &AnalysisConfig::default()).unwrap();
+        let without = response_time(
+            &lo,
+            std::slice::from_ref(&hi),
+            Time::ZERO,
+            &AnalysisConfig::default(),
+        )
+        .unwrap();
         let with = response_time(&lo, &[hi], Time::new(5), &AnalysisConfig::default()).unwrap();
         assert_eq!(with.response.r_plus, without.response.r_plus + Time::new(5));
     }
@@ -282,7 +287,7 @@ mod tests {
     #[test]
     fn details_expose_per_activation_windows() {
         // C = (26, 62), P = (70, 100): the multi-activation busy period.
-        let tasks = vec![
+        let tasks = [
             periodic_task("hi", 26, 1, 70),
             periodic_task("lo", 62, 2, 100),
         ];

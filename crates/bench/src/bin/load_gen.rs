@@ -56,7 +56,7 @@ fn export_artifact(storage: &Arc<dyn Storage>, src: &Path, out_dir: &Path, attem
     for _ in 0..attempts.max(1) {
         match storage.read(src) {
             Ok(bytes) => {
-                let name = src.file_name().unwrap_or_else(|| src.as_os_str());
+                let name = src.file_name().unwrap_or(src.as_os_str());
                 let dst = out_dir.join(name);
                 match std::fs::write(&dst, &bytes) {
                     Ok(()) => {

@@ -1364,7 +1364,7 @@ mod tests {
             // η⁺(δ⁻(n)) ≤ n − 1 (a window of exactly δ⁻(n) cannot be
             // *smaller* than the minimum span of n events) and
             // η⁺(δ⁻(n) + 1) ≥ n (one tick more admits them).
-            assert!(a.eta_plus(d) <= n - 1);
+            assert!(a.eta_plus(d) < n);
             assert!(a.eta_plus(d + Time::ONE) >= n);
             assert_eq!(a.eta_plus(d + Time::ONE), or.eta_plus(d + Time::ONE));
             assert_eq!(

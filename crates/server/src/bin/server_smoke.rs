@@ -97,7 +97,7 @@ impl Server {
             .ok_or_else(|| format!("unexpected banner {banner:?}"))?
             .to_string();
         // Keep draining stdout so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines.flatten() {});
+        std::thread::spawn(move || for _ in lines.map_while(Result::ok) {});
         Ok(Server { child, addr })
     }
 

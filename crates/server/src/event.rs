@@ -23,7 +23,7 @@
 
 use hem_analysis::Priority;
 use hem_event_models::EventModelExt as _;
-use hem_event_models::StandardEventModel;
+use hem_event_models::{ModelRef, StandardEventModel};
 use hem_obs::json::{self, JsonValue};
 use hem_system::{ActivationSpec, SystemSpec};
 use hem_time::Time;
@@ -258,12 +258,21 @@ impl SessionEvent {
     /// In-place mutation is load-bearing: untouched entities keep their
     /// `Arc`-shared external models, which is exactly the identity
     /// `analyze_incremental`'s diff uses to bound the damage cone.
+    /// A rejected event leaves the spec untouched.
     ///
     /// # Errors
     ///
     /// On unknown entity names or out-of-range values; `open` is
     /// rejected here (the session layer materializes it via the DSL).
     pub fn apply(&self, spec: &mut SystemSpec) -> Result<(), EventError> {
+        self.check(spec)?.write(spec);
+        Ok(())
+    }
+
+    /// Checks the event against a spec without touching it: finds the
+    /// entity it retunes and validates the new values. The returned
+    /// [`Edit`] writes them and cannot fail.
+    pub(crate) fn check(&self, spec: &SystemSpec) -> Result<Edit, EventError> {
         match self {
             SessionEvent::Open { .. } => Err(EventError::new(
                 "bad_event",
@@ -275,30 +284,29 @@ impl SessionEvent {
                 wcet,
                 priority,
             } => {
-                let t = spec
+                let index = spec
                     .tasks
-                    .iter_mut()
-                    .find(|t| t.name == *task)
+                    .iter()
+                    .position(|t| t.name == *task)
                     .ok_or_else(|| EventError::new("unknown_task", format!("no task {task:?}")))?;
-                if let Some(b) = bcet {
-                    if *b < 0 {
-                        return Err(EventError::new("bad_value", "bcet must be >= 0"));
-                    }
-                    t.bcet = Time::new(*b);
+                let t = &spec.tasks[index];
+                if bcet.is_some_and(|b| b < 0) {
+                    return Err(EventError::new("bad_value", "bcet must be >= 0"));
                 }
-                if let Some(w) = wcet {
-                    if *w < 1 {
-                        return Err(EventError::new("bad_value", "wcet must be >= 1"));
-                    }
-                    t.wcet = Time::new(*w);
+                if wcet.is_some_and(|w| w < 1) {
+                    return Err(EventError::new("bad_value", "wcet must be >= 1"));
                 }
-                if t.bcet > t.wcet {
+                let bcet = bcet.map_or(t.bcet, Time::new);
+                let wcet = wcet.map_or(t.wcet, Time::new);
+                if bcet > wcet {
                     return Err(EventError::new("bad_value", "bcet must not exceed wcet"));
                 }
-                if let Some(p) = priority {
-                    t.priority = Priority::new(*p);
-                }
-                Ok(())
+                Ok(Edit::Task {
+                    index,
+                    bcet,
+                    wcet,
+                    priority: priority.map_or(t.priority, Priority::new),
+                })
             }
             SessionEvent::SetSource {
                 frame,
@@ -311,55 +319,117 @@ impl SessionEvent {
                     Time::new(*jitter),
                 )
                 .map_err(|e| EventError::new("bad_value", e.to_string()))?;
-                let f = spec
+                let frame_index = spec
                     .frames
-                    .iter_mut()
-                    .find(|f| f.name == *frame)
+                    .iter()
+                    .position(|f| f.name == *frame)
                     .ok_or_else(|| {
                         EventError::new("unknown_frame", format!("no frame {frame:?}"))
                     })?;
-                let s = f
-                    .signals
-                    .iter_mut()
-                    .find(|s| s.name == *signal)
-                    .ok_or_else(|| {
-                        EventError::new(
-                            "unknown_signal",
-                            format!("no signal {signal:?} in frame {frame:?}"),
-                        )
-                    })?;
-                if !matches!(s.source, ActivationSpec::External(_)) {
+                let signals = &spec.frames[frame_index].signals;
+                let signal_index =
+                    signals
+                        .iter()
+                        .position(|s| s.name == *signal)
+                        .ok_or_else(|| {
+                            EventError::new(
+                                "unknown_signal",
+                                format!("no signal {signal:?} in frame {frame:?}"),
+                            )
+                        })?;
+                if !matches!(signals[signal_index].source, ActivationSpec::External(_)) {
                     return Err(EventError::new(
                         "bad_value",
                         format!("signal {signal:?} is not externally sourced"),
                     ));
                 }
-                s.source = ActivationSpec::External(model.shared());
-                Ok(())
+                Ok(Edit::Source {
+                    frame: frame_index,
+                    signal: signal_index,
+                    model: model.shared(),
+                })
             }
             SessionEvent::SetBus { bus, bit_time } => {
                 if *bit_time < 1 {
                     return Err(EventError::new("bad_value", "bit_time must be >= 1"));
                 }
-                let b = spec
+                let index = spec
                     .buses
-                    .iter_mut()
-                    .find(|b| b.name == *bus)
+                    .iter()
+                    .position(|b| b.name == *bus)
                     .ok_or_else(|| EventError::new("unknown_bus", format!("no bus {bus:?}")))?;
-                b.config.bit_time = Time::new(*bit_time);
-                Ok(())
+                Ok(Edit::Bus {
+                    index,
+                    bit_time: Time::new(*bit_time),
+                })
             }
             SessionEvent::SetPayload { frame, payload } => {
-                let f = spec
+                let index = spec
                     .frames
-                    .iter_mut()
-                    .find(|f| f.name == *frame)
+                    .iter()
+                    .position(|f| f.name == *frame)
                     .ok_or_else(|| {
                         EventError::new("unknown_frame", format!("no frame {frame:?}"))
                     })?;
-                f.payload_bytes = *payload;
-                Ok(())
+                Ok(Edit::Payload {
+                    index,
+                    payload: *payload,
+                })
             }
+        }
+    }
+}
+
+/// A checked event: the spec positions it retunes and their new
+/// values. Written into the spec it was checked against, it cannot
+/// fail.
+#[derive(Debug)]
+#[must_use]
+pub(crate) enum Edit {
+    Task {
+        index: usize,
+        bcet: Time,
+        wcet: Time,
+        priority: Priority,
+    },
+    Source {
+        frame: usize,
+        signal: usize,
+        model: ModelRef,
+    },
+    Bus {
+        index: usize,
+        bit_time: Time,
+    },
+    Payload {
+        index: usize,
+        payload: u8,
+    },
+}
+
+impl Edit {
+    /// Writes the checked values into the spec the event was checked
+    /// against.
+    pub(crate) fn write(self, spec: &mut SystemSpec) {
+        match self {
+            Edit::Task {
+                index,
+                bcet,
+                wcet,
+                priority,
+            } => {
+                let t = &mut spec.tasks[index];
+                t.bcet = bcet;
+                t.wcet = wcet;
+                t.priority = priority;
+            }
+            Edit::Source {
+                frame,
+                signal,
+                model,
+            } => spec.frames[frame].signals[signal].source = ActivationSpec::External(model),
+            Edit::Bus { index, bit_time } => spec.buses[index].config.bit_time = bit_time,
+            Edit::Payload { index, payload } => spec.frames[index].payload_bytes = payload,
         }
     }
 }

@@ -4,10 +4,11 @@
 //! replays are checked against the stored IDs, and every checkpoint
 //! writes the whole history. What one entry costs in memory is
 //! therefore what a long-lived session grows by per mutation.
-//! [`History`] stores an entry as its ID plus a 32-byte event whose
-//! names are interned — a [`LogEntry`] takes 80 bytes plus one heap
-//! allocation per name — and rebuilds [`LogEntry`]s only while a
-//! checkpoint streams them out.
+//! [`History`] stores an entry as its ID plus its event encoded in a
+//! byte log — a tag, interned name indices and LEB128 varints, about
+//! six bytes for a re-timed source where a [`LogEntry`] takes 80 bytes
+//! plus one heap allocation per name — and rebuilds [`LogEntry`]s only
+//! while a checkpoint streams them out.
 
 use std::collections::HashMap;
 
@@ -18,95 +19,145 @@ use crate::event::{LogEntry, SessionEvent};
 pub(crate) struct History {
     /// Content-hash ID of each entry, by sequence number.
     ids: Vec<u64>,
-    /// Each entry's event, by sequence number.
-    events: Vec<StoredEvent>,
+    /// Every entry's event, encoded back to back in sequence order.
+    log: Vec<u8>,
+    /// Scenario texts of `open` events, by index.
+    scenarios: Vec<Box<str>>,
     /// Interned names (tasks, frames, signals, buses), by index.
     names: Vec<Box<str>>,
     /// Name → index into `names`.
     interned: HashMap<Box<str>, u32>,
 }
 
-/// A [`SessionEvent`] with its names interned.
-#[derive(Debug)]
-enum StoredEvent {
-    Open(Box<str>),
-    /// Boxed: the one variant that would otherwise double the size of
-    /// every stored event.
-    SetTask(Box<TaskEdit>),
-    SetSource {
-        frame: u32,
-        signal: u32,
-        period: i64,
-        jitter: i64,
-    },
-    SetBus {
-        bus: u32,
-        bit_time: i64,
-    },
-    SetPayload {
-        frame: u32,
-        payload: u8,
-    },
+/// Event tags of the byte log.
+const OPEN: u8 = 0;
+const SET_TASK: u8 = 1;
+const SET_SOURCE: u8 = 2;
+const SET_BUS: u8 = 3;
+const SET_PAYLOAD: u8 = 4;
+
+/// Presence bits of a `set_task` event's optional fields.
+const HAS_BCET: u8 = 1;
+const HAS_WCET: u8 = 2;
+const HAS_PRIORITY: u8 = 4;
+
+fn put_u64(log: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        log.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    log.push(v as u8);
 }
 
-#[derive(Debug)]
-struct TaskEdit {
-    task: u32,
-    bcet: Option<i64>,
-    wcet: Option<i64>,
-    priority: Option<u32>,
+/// Zigzag-encodes a signed value, so small magnitudes stay short.
+fn put_i64(log: &mut Vec<u8>, v: i64) {
+    put_u64(log, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+/// Reads the byte log from a position.
+struct Reader<'h> {
+    log: &'h [u8],
+    pos: usize,
+}
+
+impl Reader<'_> {
+    fn byte(&mut self) -> u8 {
+        let b = self.log[self.pos];
+        self.pos += 1;
+        b
+    }
+
+    fn u64(&mut self) -> u64 {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    fn i64(&mut self) -> i64 {
+        let v = self.u64();
+        ((v >> 1) as i64) ^ -((v & 1) as i64)
+    }
+
+    fn index(&mut self) -> usize {
+        self.u64() as usize
+    }
 }
 
 impl History {
     /// Appends `entry`, which must carry the next sequence number.
     pub(crate) fn push(&mut self, entry: LogEntry) {
         debug_assert_eq!(entry.seq, self.ids.len() as u64, "history is contiguous");
-        let event = match entry.event {
-            SessionEvent::Open { scenario } => StoredEvent::Open(scenario.into()),
+        match entry.event {
+            SessionEvent::Open { scenario } => {
+                self.log.push(OPEN);
+                put_u64(&mut self.log, self.scenarios.len() as u64);
+                self.scenarios.push(scenario.into());
+            }
             SessionEvent::SetTask {
                 task,
                 bcet,
                 wcet,
                 priority,
-            } => StoredEvent::SetTask(Box::new(TaskEdit {
-                task: self.intern(task),
-                bcet,
-                wcet,
-                priority,
-            })),
+            } => {
+                let task = self.intern(task);
+                let flags = (if bcet.is_some() { HAS_BCET } else { 0 })
+                    | (if wcet.is_some() { HAS_WCET } else { 0 })
+                    | (if priority.is_some() { HAS_PRIORITY } else { 0 });
+                self.log.extend([SET_TASK, flags]);
+                put_u64(&mut self.log, task);
+                for v in [bcet, wcet].into_iter().flatten() {
+                    put_i64(&mut self.log, v);
+                }
+                if let Some(p) = priority {
+                    put_u64(&mut self.log, u64::from(p));
+                }
+            }
             SessionEvent::SetSource {
                 frame,
                 signal,
                 period,
                 jitter,
-            } => StoredEvent::SetSource {
-                frame: self.intern(frame),
-                signal: self.intern(signal),
-                period,
-                jitter,
-            },
-            SessionEvent::SetBus { bus, bit_time } => StoredEvent::SetBus {
-                bus: self.intern(bus),
-                bit_time,
-            },
-            SessionEvent::SetPayload { frame, payload } => StoredEvent::SetPayload {
-                frame: self.intern(frame),
-                payload,
-            },
-        };
+            } => {
+                let (frame, signal) = (self.intern(frame), self.intern(signal));
+                self.log.push(SET_SOURCE);
+                put_u64(&mut self.log, frame);
+                put_u64(&mut self.log, signal);
+                put_i64(&mut self.log, period);
+                put_i64(&mut self.log, jitter);
+            }
+            SessionEvent::SetBus { bus, bit_time } => {
+                let bus = self.intern(bus);
+                self.log.push(SET_BUS);
+                put_u64(&mut self.log, bus);
+                put_i64(&mut self.log, bit_time);
+            }
+            SessionEvent::SetPayload { frame, payload } => {
+                let frame = self.intern(frame);
+                self.log.push(SET_PAYLOAD);
+                put_u64(&mut self.log, frame);
+                self.log.push(payload);
+            }
+        }
         self.ids.push(entry.id);
-        self.events.push(event);
     }
 
-    fn intern(&mut self, name: String) -> u32 {
+    /// The index of `name` in the interned names.
+    fn intern(&mut self, name: String) -> u64 {
         if let Some(&index) = self.interned.get(name.as_str()) {
-            return index;
+            return u64::from(index);
         }
         let index = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct names");
         let name: Box<str> = name.into();
         self.names.push(name.clone());
         self.interned.insert(name, index);
-        index
+        u64::from(index)
     }
 
     /// Number of entries.
@@ -121,48 +172,52 @@ impl History {
 
     /// The entries `0..len()`, rebuilt one at a time.
     pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = LogEntry> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.events)
-            .enumerate()
-            .map(|(seq, (&id, event))| LogEntry {
-                seq: seq as u64,
-                id,
-                event: self.event(event),
-            })
+        let mut reader = Reader {
+            log: &self.log,
+            pos: 0,
+        };
+        self.ids.iter().enumerate().map(move |(seq, &id)| LogEntry {
+            seq: seq as u64,
+            id,
+            event: self.event(&mut reader),
+        })
     }
 
-    fn event(&self, stored: &StoredEvent) -> SessionEvent {
-        let name = |index: u32| self.names[index as usize].to_string();
-        match stored {
-            StoredEvent::Open(scenario) => SessionEvent::Open {
-                scenario: scenario.to_string(),
+    /// Decodes the event at the reader's position.
+    fn event(&self, reader: &mut Reader<'_>) -> SessionEvent {
+        let name = |index: usize| self.names[index].to_string();
+        match reader.byte() {
+            OPEN => SessionEvent::Open {
+                scenario: self.scenarios[reader.index()].to_string(),
             },
-            StoredEvent::SetTask(edit) => SessionEvent::SetTask {
-                task: name(edit.task),
-                bcet: edit.bcet,
-                wcet: edit.wcet,
-                priority: edit.priority,
+            SET_TASK => {
+                let flags = reader.byte();
+                let task = name(reader.index());
+                let bcet = (flags & HAS_BCET != 0).then(|| reader.i64());
+                let wcet = (flags & HAS_WCET != 0).then(|| reader.i64());
+                let priority = (flags & HAS_PRIORITY != 0).then(|| reader.u64() as u32);
+                SessionEvent::SetTask {
+                    task,
+                    bcet,
+                    wcet,
+                    priority,
+                }
+            }
+            SET_SOURCE => SessionEvent::SetSource {
+                frame: name(reader.index()),
+                signal: name(reader.index()),
+                period: reader.i64(),
+                jitter: reader.i64(),
             },
-            &StoredEvent::SetSource {
-                frame,
-                signal,
-                period,
-                jitter,
-            } => SessionEvent::SetSource {
-                frame: name(frame),
-                signal: name(signal),
-                period,
-                jitter,
+            SET_BUS => SessionEvent::SetBus {
+                bus: name(reader.index()),
+                bit_time: reader.i64(),
             },
-            &StoredEvent::SetBus { bus, bit_time } => SessionEvent::SetBus {
-                bus: name(bus),
-                bit_time,
+            SET_PAYLOAD => SessionEvent::SetPayload {
+                frame: name(reader.index()),
+                payload: reader.byte(),
             },
-            &StoredEvent::SetPayload { frame, payload } => SessionEvent::SetPayload {
-                frame: name(frame),
-                payload,
-            },
+            tag => unreachable!("history log holds only known tags, got {tag}"),
         }
     }
 }
@@ -227,6 +282,57 @@ mod tests {
 
     #[test]
     fn stored_events_stay_small() {
-        assert!(std::mem::size_of::<StoredEvent>() <= 32);
+        let mut history = History::default();
+        for entry in log() {
+            history.push(entry);
+        }
+        let before = history.log.len();
+        history.push(LogEntry::new(
+            6,
+            SessionEvent::SetSource {
+                frame: "F1".into(),
+                signal: "s3".into(),
+                period: 11_990,
+                jitter: 0,
+            },
+        ));
+        assert!(history.log.len() - before <= 8);
+    }
+
+    #[test]
+    fn extreme_values_round_trip() {
+        let mut history = History::default();
+        let log: Vec<LogEntry> = [
+            SessionEvent::SetTask {
+                task: "t".into(),
+                bcet: Some(i64::MIN),
+                wcet: Some(i64::MAX),
+                priority: Some(u32::MAX),
+            },
+            SessionEvent::SetTask {
+                task: "t".into(),
+                bcet: None,
+                wcet: Some(-1),
+                priority: None,
+            },
+            SessionEvent::SetSource {
+                frame: "F".into(),
+                signal: "s".into(),
+                period: -5,
+                jitter: 1 << 40,
+            },
+            SessionEvent::SetPayload {
+                frame: "F".into(),
+                payload: u8::MAX,
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(seq, event)| LogEntry::new(seq as u64, event))
+        .collect();
+        for entry in log.clone() {
+            history.push(entry);
+        }
+        assert_eq!(history.entries().collect::<Vec<_>>(), log);
     }
 }

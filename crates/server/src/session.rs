@@ -20,10 +20,11 @@
 //! state cannot be told apart from an uninterrupted one — the property
 //! the recovery tests pin down byte for byte.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use hem_analysis::AnalysisBudget;
+use hem_analysis::{AnalysisBudget, TaskResult};
 use hem_obs::{Counter, RecorderHandle};
 use hem_system::{
     analyze_incremental, dsl, AnalysisMode, ConvergenceStatus, RobustAnalysis, StopReason,
@@ -467,13 +468,13 @@ impl Session {
                 got: at,
             });
         }
-        // Validate against a scratch copy first: an event that fails to
-        // apply must reach neither the WAL nor the live spec.
-        let mut staged = self.spec.clone();
-        event.apply(&mut staged)?;
+        // Check first, write last: an event that fails its check, or
+        // whose WAL append fails, reaches neither the WAL nor the live
+        // spec — and the spec is never copied.
+        let edit = event.check(&self.spec)?;
         let entry = LogEntry::new(at, event);
         self.append_record(&entry)?;
-        self.spec = staged;
+        edit.write(&mut self.spec);
         let id = entry.id;
         self.history.push(entry);
         self.maybe_checkpoint();
@@ -539,26 +540,71 @@ impl Session {
     }
 }
 
-fn status_name(status: Option<ConvergenceStatus>) -> String {
+fn push_status(out: &mut String, status: Option<ConvergenceStatus>) {
     match status {
-        Some(ConvergenceStatus::Converged) => "converged".into(),
-        Some(ConvergenceStatus::Growing { streak }) => format!("growing:{streak}"),
-        Some(ConvergenceStatus::Unsettled) => "unsettled".into(),
-        Some(ConvergenceStatus::Failed) => "failed".into(),
-        None | Some(ConvergenceStatus::Unknown) => "unknown".into(),
+        Some(ConvergenceStatus::Converged) => out.push_str("converged"),
+        Some(ConvergenceStatus::Growing { streak }) => {
+            let _ = write!(out, "growing:{streak}");
+        }
+        Some(ConvergenceStatus::Unsettled) => out.push_str("unsettled"),
+        Some(ConvergenceStatus::Failed) => out.push_str("failed"),
+        None | Some(ConvergenceStatus::Unknown) => out.push_str("unknown"),
     }
 }
 
-fn stop_name(stop: &StopReason) -> String {
+fn push_stop(out: &mut String, stop: &StopReason) {
     match stop {
-        StopReason::Converged => "converged".into(),
+        StopReason::Converged => out.push_str("converged"),
         StopReason::DivergenceDetected { entity, streak } => {
-            format!("divergence:{entity}:{streak}")
+            let _ = write!(out, "divergence:{entity}:{streak}");
         }
-        StopReason::LocalAnalysisFailed { entity, .. } => format!("local_failed:{entity}"),
-        StopReason::BudgetExhausted => "budget_exhausted".into(),
-        StopReason::IterationLimitReached => "iteration_limit".into(),
+        StopReason::LocalAnalysisFailed { entity, .. } => {
+            out.push_str("local_failed:");
+            out.push_str(entity);
+        }
+        StopReason::BudgetExhausted => out.push_str("budget_exhausted"),
+        StopReason::IterationLimitReached => out.push_str("iteration_limit"),
     }
+}
+
+/// Writes one `"<section>":{…}` object of per-entity results. `results`
+/// and `statuses` are both ordered by name, so each result's status is
+/// found by advancing through `statuses` once.
+fn push_section<'r>(
+    out: &mut String,
+    section: &str,
+    results: impl Iterator<Item = (&'r str, &'r TaskResult)>,
+    statuses: impl Iterator<Item = (&'r str, ConvergenceStatus)>,
+) {
+    let mut statuses = statuses.peekable();
+    out.push_str(",\"");
+    out.push_str(section);
+    out.push_str("\":{");
+    for (i, (name, r)) in results.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let status = loop {
+            match statuses.peek() {
+                Some(&(n, _)) if n < name => {
+                    statuses.next();
+                }
+                Some(&(n, status)) if n == name => break Some(status),
+                _ => break None,
+            }
+        };
+        hem_obs::json::write_escaped(out, name);
+        let _ = write!(
+            out,
+            ":{{\"r_minus\":{},\"r_plus\":{},\"busy_activations\":{},\"status\":\"",
+            r.response.r_minus.ticks(),
+            r.response.r_plus.ticks(),
+            r.busy_activations,
+        );
+        push_status(out, status);
+        out.push_str("\"}");
+    }
+    out.push('}');
 }
 
 /// Renders an analysis into the deterministic result body.
@@ -569,49 +615,97 @@ fn stop_name(stop: &StopReason) -> String {
 /// guarantee the smoke test asserts.
 #[must_use]
 pub fn render_result(analysis: &RobustAnalysis) -> String {
-    use std::collections::BTreeMap;
+    /// Bytes of one rendered entity with a short name.
+    const ENTRY_BYTES: usize = 96;
     let results = &analysis.results;
-    let mut out = String::with_capacity(256);
+    let entries = results.tasks().size_hint().0 + results.frames().size_hint().0;
+    let mut out = String::with_capacity(128 + ENTRY_BYTES * entries);
     out.push_str("{\"complete\":");
     out.push_str(if results.is_complete() {
         "true"
     } else {
         "false"
     });
-    out.push_str(&format!(
-        ",\"iterations\":{},\"stop\":\"{}\"",
-        results.iterations(),
-        stop_name(&analysis.diagnostics.stop)
-    ));
-    for (section, items, status_of) in [
-        ("tasks", results.tasks().collect::<BTreeMap<_, _>>(), true),
-        (
-            "frames",
-            results.frames().collect::<BTreeMap<_, _>>(),
-            false,
-        ),
-    ] {
-        out.push_str(&format!(",\"{section}\":{{"));
-        for (i, (name, r)) in items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let status = if status_of {
-                results.task_convergence(name)
-            } else {
-                results.frame_convergence(name)
-            };
-            hem_obs::json::write_escaped(&mut out, name);
-            out.push_str(&format!(
-                ":{{\"r_minus\":{},\"r_plus\":{},\"busy_activations\":{},\"status\":\"{}\"}}",
-                r.response.r_minus.ticks(),
-                r.response.r_plus.ticks(),
-                r.busy_activations,
-                status_name(status)
-            ));
-        }
-        out.push('}');
-    }
+    let _ = write!(out, ",\"iterations\":{},\"stop\":\"", results.iterations());
+    push_stop(&mut out, &analysis.diagnostics.stop);
+    out.push('"');
+    push_section(&mut out, "tasks", results.tasks(), results.task_statuses());
+    push_section(
+        &mut out,
+        "frames",
+        results.frames(),
+        results.frame_statuses(),
+    );
     out.push('}');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::storage::RealStorage;
+
+    const SCENARIO: &str = "\
+cpu c
+task t cpu=c bcet=10 wcet=20 prio=1 activation=periodic:100
+";
+
+    fn env(tag: &str) -> SessionEnv {
+        let data_dir =
+            std::env::temp_dir().join(format!("hem-session-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&data_dir);
+        std::fs::create_dir_all(&data_dir).expect("mk tempdir");
+        SessionEnv {
+            storage: Arc::new(RealStorage),
+            data_dir,
+            sync_appends: false,
+            checkpoint_bytes: 0,
+            metrics: RecorderHandle::noop(),
+        }
+    }
+
+    #[test]
+    fn rejected_event_leaves_spec_and_wal_untouched() {
+        let env = env("reject");
+        let (mut session, _) = Session::open(&env, "s", SCENARIO).expect("opens");
+        let wal = wal_path(&env.data_dir, "s");
+        let (spec_before, wal_before) = (
+            format!("{:?}", session.spec),
+            std::fs::read(&wal).expect("wal"),
+        );
+        // A valid bcet, then an invalid wcet: the check rejects the
+        // event before anything is written.
+        let err = session
+            .append(
+                None,
+                SessionEvent::SetTask {
+                    task: "t".into(),
+                    bcet: Some(5),
+                    wcet: Some(0),
+                    priority: None,
+                },
+            )
+            .expect_err("wcet 0 is rejected");
+        assert_eq!(err.kind(), "bad_value");
+        assert_eq!(format!("{:?}", session.spec), spec_before);
+        assert_eq!(std::fs::read(&wal).expect("wal"), wal_before);
+        assert_eq!(session.current_seq(), 0);
+
+        // The same values, valid, are written in place.
+        session
+            .append(
+                None,
+                SessionEvent::SetTask {
+                    task: "t".into(),
+                    bcet: Some(5),
+                    wcet: Some(30),
+                    priority: None,
+                },
+            )
+            .expect("applies");
+        let t = &session.spec.tasks[0];
+        assert_eq!((t.bcet.ticks(), t.wcet.ticks()), (5, 30));
+        assert!(std::fs::read(&wal).expect("wal").len() > wal_before.len());
+        let _ = std::fs::remove_dir_all(&env.data_dir);
+    }
 }

@@ -6,7 +6,7 @@
 //! wall-clock time, thread scheduling, or `HEM_THREADS` (the CI matrix
 //! runs this test under both legs and the bytes must agree).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hem_obs::json::{self, JsonValue};
@@ -55,7 +55,7 @@ fn core_on(storage: &ChaosStorage) -> ServerCore {
 
 /// Reads a file off the chaos disk, retrying past injected faults
 /// (each attempt consumes a deterministic op index).
-fn read_retrying(storage: &Arc<dyn Storage>, path: &PathBuf, what: &str) -> String {
+fn read_retrying(storage: &Arc<dyn Storage>, path: &Path, what: &str) -> String {
     for _ in 0..8 {
         if let Ok(bytes) = storage.read(path) {
             return String::from_utf8(bytes).expect("artifact is utf-8");

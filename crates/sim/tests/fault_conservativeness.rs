@@ -46,10 +46,10 @@ proptest! {
         let horizon = Time::new(HORIZON);
         let mut queued = Vec::new();
         let mut analytic = Vec::new();
-        for i in 0..n_frames {
+        for (i, &period) in PERIODS.iter().enumerate().take(n_frames) {
             let name = format!("F{i}");
             let base = Time::new(40 + 15 * i as i64);
-            let period = Time::new(PERIODS[i]);
+            let period = Time::new(period);
             queued.push(QueuedFrame {
                 name: name.clone(),
                 priority: Priority::new(i as u32 + 1),

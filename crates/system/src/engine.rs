@@ -20,7 +20,7 @@ use hem_obs::{ConvergenceTrace, Counter, IterationSnapshot, RtBound};
 use hem_time::Time;
 
 use crate::diagnostics::{ConvergenceStatus, Diagnostics, StopReason};
-use crate::graph::{Level, PropagationLevels};
+use crate::graph::{Entity, LevelIndex, Topology, Wire};
 use crate::result::{signal_key, SystemConfig, SystemResults};
 use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec};
 use crate::warm::Replay;
@@ -213,12 +213,118 @@ impl Resolution {
     }
 }
 
+/// One entity's busy-window outcome without its name: what a global
+/// iteration records per spec position, and what a warm start replays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Record {
+    response: ResponseTime,
+    busy_activations: u64,
+}
+
+impl Record {
+    fn of(result: &TaskResult) -> Self {
+        Record {
+            response: result.response,
+            busy_activations: result.busy_activations,
+        }
+    }
+
+    fn named(self, name: &str) -> TaskResult {
+        TaskResult {
+            name: name.to_string(),
+            response: self.response,
+            busy_activations: self.busy_activations,
+        }
+    }
+}
+
+/// The results of one completed global iteration, by spec position. A
+/// completed iteration analyses every frame and every task.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IterationResults {
+    /// Result of `spec.frames[j]`.
+    pub(crate) frames: Vec<Record>,
+    /// Result of `spec.tasks[i]`.
+    pub(crate) tasks: Vec<Record>,
+}
+
+impl IterationResults {
+    fn response(&self, entity: Entity) -> ResponseTime {
+        match entity {
+            Entity::Frame(j) => self.frames[j].response,
+            Entity::Task(i) => self.tasks[i].response,
+        }
+    }
+
+    /// Whether every response time equals `other`'s — the global fixed
+    /// point (busy-activation counts do not take part).
+    fn same_responses(&self, other: &IterationResults) -> bool {
+        let same = |a: &[Record], b: &[Record]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.response == y.response)
+        };
+        same(&self.frames, &other.frames) && same(&self.tasks, &other.tasks)
+    }
+
+    /// Per-task and per-frame results keyed by name, as
+    /// [`SystemResults`] holds them.
+    fn named(
+        &self,
+        spec: &SystemSpec,
+        topology: &Topology,
+    ) -> (BTreeMap<String, TaskResult>, BTreeMap<String, TaskResult>) {
+        let tasks = topology
+            .sorted_tasks()
+            .map(|i| {
+                let name = &spec.tasks[i].name;
+                (name.clone(), self.tasks[i].named(name))
+            })
+            .collect();
+        let frames = topology
+            .sorted_frames()
+            .map(|j| {
+                let name = &spec.frames[j].name;
+                (name.clone(), self.frames[j].named(name))
+            })
+            .collect();
+        (tasks, frames)
+    }
+
+    /// Every response time keyed by prefixed entity.
+    fn response_times(&self, topology: &Topology) -> BTreeMap<String, ResponseTime> {
+        topology
+            .entities
+            .iter()
+            .enumerate()
+            .map(|(k, &e)| (topology.entity_keys.get(k).to_string(), self.response(e)))
+            .collect()
+    }
+
+    /// The [`ConvergenceTrace`] snapshot of this iteration.
+    fn snapshot(&self, iteration: u64, topology: &Topology) -> IterationSnapshot {
+        IterationSnapshot {
+            iteration,
+            response_times: topology
+                .entities
+                .iter()
+                .enumerate()
+                .map(|(k, &e)| {
+                    let rt = self.response(e);
+                    (
+                        topology.entity_keys.get(k).to_string(),
+                        RtBound::new(rt.r_minus.ticks(), rt.r_plus.ticks()),
+                    )
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Everything a converged run must record to seed a future warm start:
 /// the per-iteration result trajectory and resolved models. Assembled
 /// into a [`WarmStart`](crate::warm::WarmStart) by [`crate::warm`].
 pub(crate) struct Capture {
-    /// `(frame results, task results)` per completed global iteration.
-    pub(crate) trajectory: Vec<(BTreeMap<String, TaskResult>, BTreeMap<String, TaskResult>)>,
+    /// The results of each completed global iteration.
+    pub(crate) trajectory: Vec<IterationResults>,
     /// The resolved models of each completed global iteration.
     pub(crate) resolutions: Vec<Resolution>,
 }
@@ -239,47 +345,6 @@ pub(crate) struct EngineWarm<'w> {
 struct WarmIteration<'w> {
     plan: &'w EngineWarm<'w>,
     replay: Replay<'w>,
-}
-
-/// Name → spec-position lookups and per-resource entity lists, built
-/// once per run: the topology is fixed across global iterations.
-struct SpecIndex<'a> {
-    tasks: HashMap<&'a str, usize>,
-    frames: HashMap<&'a str, usize>,
-    buses: HashMap<&'a str, usize>,
-    cpus: HashMap<&'a str, usize>,
-    /// Frames of `spec.buses[b]`, in spec order.
-    bus_frames: Vec<Vec<usize>>,
-    /// Tasks of `spec.cpus[c]`, in spec order.
-    cpu_tasks: Vec<Vec<usize>>,
-}
-
-impl<'a> SpecIndex<'a> {
-    /// Indexes a validated spec (every task's CPU and every frame's bus
-    /// exists).
-    fn of(spec: &'a SystemSpec) -> Self {
-        fn positions<'a>(names: impl Iterator<Item = &'a str>) -> HashMap<&'a str, usize> {
-            names.enumerate().map(|(i, n)| (n, i)).collect()
-        }
-        let buses = positions(spec.buses.iter().map(|b| b.name.as_str()));
-        let cpus = positions(spec.cpus.iter().map(|c| c.name.as_str()));
-        let mut bus_frames = vec![Vec::new(); spec.buses.len()];
-        for (j, f) in spec.frames.iter().enumerate() {
-            bus_frames[buses[f.bus.as_str()]].push(j);
-        }
-        let mut cpu_tasks = vec![Vec::new(); spec.cpus.len()];
-        for (i, t) in spec.tasks.iter().enumerate() {
-            cpu_tasks[cpus[t.cpu.as_str()]].push(i);
-        }
-        SpecIndex {
-            tasks: positions(spec.tasks.iter().map(|t| t.name.as_str())),
-            frames: positions(spec.frames.iter().map(|f| f.name.as_str())),
-            buses,
-            cpus,
-            bus_frames,
-            cpu_tasks,
-        }
-    }
 }
 
 /// Per-entity growth tracking across global iterations, feeding the
@@ -337,59 +402,51 @@ impl Track {
     }
 }
 
-fn prefixed_rt(
-    tasks: &BTreeMap<String, TaskResult>,
-    frames: &BTreeMap<String, TaskResult>,
-) -> BTreeMap<String, ResponseTime> {
-    frames
-        .iter()
-        .map(|(k, v)| (format!("frame:{k}"), v.response))
-        .chain(tasks.iter().map(|(k, v)| (format!("task:{k}"), v.response)))
-        .collect()
-}
-
-/// The [`ConvergenceTrace`] snapshot of one completed global iteration.
-fn rt_snapshot(iteration: u64, rts: &BTreeMap<String, ResponseTime>) -> IterationSnapshot {
-    IterationSnapshot {
-        iteration,
-        response_times: rts
-            .iter()
-            .map(|(k, rt)| {
-                (
-                    k.clone(),
-                    RtBound::new(rt.r_minus.ticks(), rt.r_plus.ticks()),
-                )
-            })
-            .collect(),
-    }
-}
-
 /// The resource hosting a prefixed entity (`task:x` → `cpu:…`,
 /// `frame:x` → `bus:…`).
-fn hosting_resource(spec: &SystemSpec, entity: &str) -> Option<String> {
-    if let Some(task) = entity.strip_prefix("task:") {
-        spec.tasks
-            .iter()
-            .find(|t| t.name == task)
-            .map(|t| format!("cpu:{}", t.cpu))
-    } else if let Some(frame) = entity.strip_prefix("frame:") {
-        spec.frames
-            .iter()
-            .find(|f| f.name == frame)
-            .map(|f| format!("bus:{}", f.bus))
+fn hosting_resource(topology: &Topology, entity: &str) -> Option<String> {
+    let entity = if let Some(task) = entity.strip_prefix("task:") {
+        Entity::Task(topology.tasks.position(task)?)
     } else {
-        None
-    }
+        Entity::Frame(topology.frames.position(entity.strip_prefix("frame:")?)?)
+    };
+    topology
+        .host(entity)
+        .map(|r| topology.resource_key(r).to_string())
 }
 
 /// What one global iteration accumulates: per-frame and per-task
-/// results, plus the number of per-entity analyses replayed from a
-/// warm-start snapshot instead of being re-run.
-#[derive(Default)]
+/// results by spec position, plus the number of per-entity analyses
+/// replayed from a warm-start snapshot instead of being re-run.
 struct IterationAccum {
-    frames: BTreeMap<String, TaskResult>,
-    tasks: BTreeMap<String, TaskResult>,
+    frames: Vec<Option<Record>>,
+    tasks: Vec<Option<Record>>,
     replayed: u64,
+}
+
+impl IterationAccum {
+    fn new(spec: &SystemSpec) -> Self {
+        IterationAccum {
+            frames: vec![None; spec.frames.len()],
+            tasks: vec![None; spec.tasks.len()],
+            replayed: 0,
+        }
+    }
+
+    /// The completed iteration's results and replay count.
+    fn finish(self) -> (IterationResults, u64) {
+        let complete = |slots: Vec<Option<Record>>| -> Vec<Record> {
+            slots
+                .into_iter()
+                .map(|r| r.expect("a completed iteration analyses every entity"))
+                .collect()
+        };
+        let results = IterationResults {
+            frames: complete(self.frames),
+            tasks: complete(self.tasks),
+        };
+        (results, self.replayed)
+    }
 }
 
 /// One global iteration's local analyses, in propagation-level order.
@@ -401,19 +458,19 @@ struct IterationAccum {
 ///
 /// With a warm plan, resources outside the damage cone skip all three
 /// phases' work: the resolver was seeded with their recorded models, so
-/// Phase 1 resolves nothing for them, and Phase 3 stages their recorded
+/// Phase 1 resolves nothing for them, and Phase 3 copies their recorded
 /// results instead of Phase 2 analyses. An iteration costs O(damage
 /// cone).
 fn run_iteration(
     resolver: &mut Resolver<'_>,
     spec: &SystemSpec,
     config: &SystemConfig,
-    levels: &PropagationLevels,
     warm: Option<&WarmIteration<'_>>,
 ) -> Result<IterationAccum, IterationError> {
-    let mut acc = IterationAccum::default();
+    let topology = resolver.topology;
+    let mut acc = IterationAccum::new(spec);
 
-    for level in &levels.levels {
+    for level in &topology.levels {
         // Deadlines hold inside an iteration too: a warm-started run
         // replaying thousands of clean entities (or a cold run crawling
         // through many levels) polls the budget between levels, so
@@ -429,22 +486,22 @@ fn run_iteration(
     // resolver reports them exactly as a resolve-on-demand engine
     // would (usually a `DependencyCycle` naming the same entity). Warm
     // starts refuse cyclic systems, so this path never replays.
-    for (j, frame) in spec.frames.iter().enumerate() {
-        if levels.cyclic_buses.contains(&frame.bus) {
-            let result = resolver
+    for j in 0..spec.frames.len() {
+        if topology.frame_bus[j].is_some_and(|b| topology.cyclic_buses.contains(&b)) {
+            let record = resolver
                 .frame_result(j)
                 .map_err(|e| IterationError::classify(e, "frame"))?;
-            acc.frames.insert(frame.name.clone(), result);
+            acc.frames[j] = Some(record);
         }
     }
-    for cpu in &levels.cyclic_cpus {
+    for &c in &topology.cyclic_cpus {
         let tasks = resolver
-            .lower_cpu(resolver.index.cpus[cpu.as_str()])
+            .lower_cpu(c)
             .map_err(|e| IterationError::classify(e, "task"))?;
-        for result in spp::analyze(&tasks, &config.local)
-            .map_err(|e| IterationError::classify(SystemError::Analysis(e), "task"))?
-        {
-            acc.tasks.insert(result.name.clone(), result);
+        let results = spp::analyze(&tasks, &config.local)
+            .map_err(|e| IterationError::classify(SystemError::Analysis(e), "task"))?;
+        for (&i, result) in topology.cpu_tasks[c].iter().zip(&results) {
+            acc.tasks[i] = Some(Record::of(result));
         }
     }
     Ok(acc)
@@ -455,12 +512,11 @@ fn run_iteration(
 fn run_level(
     resolver: &mut Resolver<'_>,
     config: &SystemConfig,
-    level: &Level,
+    level: &LevelIndex,
     warm: Option<&WarmIteration<'_>>,
     acc: &mut IterationAccum,
 ) -> Result<(), IterationError> {
-    let index = resolver.index;
-    let spec = resolver.spec;
+    let topology = resolver.topology;
 
     // Phase 1 — resolution of the dirty resources (`None` marks a
     // clean one). A clean resource's models were seeded from the
@@ -468,8 +524,7 @@ fn run_level(
     // seeded packings count towards `packing_ops` at the same point a
     // from-scratch run would pack them.
     let mut bus_sets = Vec::with_capacity(level.buses.len());
-    for bus in &level.buses {
-        let b = index.buses[bus.as_str()];
+    for &b in &level.buses {
         let tasks = if warm.is_some_and(|w| w.plan.clean_buses[b]) {
             resolver.count_replayed_packings(b);
             None
@@ -482,8 +537,7 @@ fn run_level(
         bus_sets.push((b, tasks));
     }
     let mut cpu_sets = Vec::with_capacity(level.cpus.len());
-    for cpu in &level.cpus {
-        let c = index.cpus[cpu.as_str()];
+    for &c in &level.cpus {
         let tasks = if warm.is_some_and(|w| w.plan.clean_cpus[c]) {
             None
         } else {
@@ -506,39 +560,35 @@ fn run_level(
             first_err = Some(IterationError::classify(SystemError::Analysis(e), kind));
         }
     };
-    let replayed = |results: &'_ BTreeMap<String, TaskResult>, name: &str| -> TaskResult {
-        results
-            .get(name)
-            .expect("warm snapshot covers every entity of an unchanged topology")
-            .clone()
+    let replay = || {
+        warm.map(|w| w.replay.results)
+            .expect("clean flags imply a warm plan")
     };
     let mut hits = 0u64;
-    let mut staged_frames: Vec<(usize, TaskResult)> = Vec::new();
+    let mut staged_frames: Vec<(usize, Record)> = Vec::new();
     for (b, tasks) in &bus_sets {
-        for (i, &j) in index.bus_frames[*b].iter().enumerate() {
+        for (k, &j) in topology.bus_frames[*b].iter().enumerate() {
             let Some(tasks) = tasks else {
-                let w = warm.expect("clean flags imply a warm plan");
-                staged_frames.push((j, replayed(w.replay.frames, &spec.frames[j].name)));
+                staged_frames.push((j, replay().frames[j]));
                 hits += 1;
                 continue;
             };
-            match spnp::analyze_one(tasks, i, &config.local) {
-                Ok(result) => staged_frames.push((j, result)),
+            match spnp::analyze_one(tasks, k, &config.local) {
+                Ok(result) => staged_frames.push((j, Record::of(&result))),
                 Err(e) => record_err(e, "frame"),
             }
         }
     }
-    let mut staged_tasks: Vec<TaskResult> = Vec::new();
+    let mut staged_tasks: Vec<(usize, Record)> = Vec::new();
     for (c, tasks) in &cpu_sets {
-        for (k, &i) in index.cpu_tasks[*c].iter().enumerate() {
+        for (k, &i) in topology.cpu_tasks[*c].iter().enumerate() {
             let Some(tasks) = tasks else {
-                let w = warm.expect("clean flags imply a warm plan");
-                staged_tasks.push(replayed(w.replay.tasks, &spec.tasks[i].name));
+                staged_tasks.push((i, replay().tasks[i]));
                 hits += 1;
                 continue;
             };
             match spp::analyze_one(tasks, k, &config.local) {
-                Ok(result) => staged_tasks.push(result),
+                Ok(result) => staged_tasks.push((i, Record::of(&result))),
                 Err(e) => record_err(e, "task"),
             }
         }
@@ -550,13 +600,12 @@ fn run_level(
     if let Some(err) = first_err {
         return Err(err);
     }
-    for (j, result) in staged_frames {
-        acc.frames
-            .insert(spec.frames[j].name.clone(), result.clone());
-        resolver.frame_results[j] = Some(result);
+    for (j, record) in staged_frames {
+        acc.frames[j] = Some(record);
+        resolver.frame_results[j] = Some(record);
     }
-    for result in staged_tasks {
-        acc.tasks.insert(result.name.clone(), result);
+    for (i, record) in staged_tasks {
+        acc.tasks[i] = Some(record);
     }
     Ok(())
 }
@@ -600,13 +649,124 @@ impl IterationError {
 
 fn run(spec: &SystemSpec, config: &SystemConfig) -> Result<RunOutcome, SystemError> {
     validate(spec)?;
-    let levels = PropagationLevels::of(spec);
-    run_with(spec, config, &levels, None, false).map(|(outcome, _, _)| outcome)
+    let topology = Topology::of(spec);
+    run_with(spec, config, &topology, None, false).map(|(outcome, _, _)| outcome)
 }
 
-/// The full engine loop over a validated spec and its propagation
-/// levels, optionally replaying a warm-start plan and/or capturing the
-/// run's trajectory for a future warm start.
+/// The state a stopped run salvages: the last two completed
+/// iterations' results, the growth tracks, and the last completed
+/// iteration's resolved models.
+struct Salvage<'s> {
+    completed: u64,
+    trace: ConvergenceTrace,
+    tracks: &'s [Track],
+    last: Option<IterationResults>,
+    previous: Option<IterationResults>,
+    resolution: Option<&'s Resolution>,
+}
+
+/// Builds the outcome of a run that stopped short of a fixed point.
+fn stopped(
+    spec: &SystemSpec,
+    config: &SystemConfig,
+    topology: &Topology,
+    started: Instant,
+    stop: StopReason,
+    salvage: Salvage<'_>,
+) -> RunOutcome {
+    let Salvage {
+        completed,
+        trace,
+        tracks,
+        last,
+        previous,
+        resolution,
+    } = salvage;
+    let failed_entity = match &stop {
+        StopReason::LocalAnalysisFailed { entity, .. } => Some(entity.as_str()),
+        _ => None,
+    };
+    // Statuses by position in `topology.entities`.
+    let status = |k: usize| {
+        if failed_entity == Some(topology.entity_keys.get(k)) {
+            ConvergenceStatus::Failed
+        } else if let Some(track) = tracks.get(k) {
+            track.status(config.divergence_streak)
+        } else if last.is_some() {
+            ConvergenceStatus::Unsettled
+        } else {
+            ConvergenceStatus::Unknown
+        }
+    };
+    let mut task_convergence = BTreeMap::new();
+    let mut frame_convergence = BTreeMap::new();
+    for (k, &entity) in topology.entities.iter().enumerate() {
+        match entity {
+            Entity::Task(i) => task_convergence.insert(spec.tasks[i].name.clone(), status(k)),
+            Entity::Frame(j) => frame_convergence.insert(spec.frames[j].name.clone(), status(k)),
+        };
+    }
+    let mut diverging: Vec<(u64, &str)> = tracks
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| config.divergence_streak > 0 && t.streak >= config.divergence_streak)
+        .map(|(k, t)| (t.streak, topology.entity_keys.get(k)))
+        .collect();
+    diverging.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+    let diverging: Vec<String> = diverging.into_iter().map(|(_, k)| k.to_string()).collect();
+    let suspect = failed_entity
+        .map(String::from)
+        .or_else(|| match &stop {
+            StopReason::DivergenceDetected { entity, .. } => Some(entity.clone()),
+            _ => None,
+        })
+        .or_else(|| diverging.first().cloned());
+    let suspected_bottleneck = suspect.and_then(|e| hosting_resource(topology, &e));
+    let (task_activations, frame_inputs) = resolution.map(|r| r.salvage(spec)).unwrap_or_default();
+    let (task_results, frame_results) = last
+        .as_ref()
+        .map(|l| l.named(spec, topology))
+        .unwrap_or_default();
+    let response_times = |results: &Option<IterationResults>| {
+        results
+            .as_ref()
+            .map(|r| r.response_times(topology))
+            .unwrap_or_default()
+    };
+    RunOutcome::Stopped {
+        partial: SystemResults {
+            mode: config.mode,
+            iterations: completed,
+            complete: false,
+            task_results,
+            frame_results,
+            task_convergence,
+            frame_convergence,
+            task_activations,
+            frame_inputs,
+            frame_outputs: BTreeMap::new(),
+            unpacked_signals: BTreeMap::new(),
+        },
+        diagnostics: Diagnostics {
+            stop,
+            iterations: completed,
+            elapsed: started.elapsed(),
+            trace,
+            diverging,
+            last_response_times: response_times(&last),
+            previous_response_times: response_times(&previous),
+            suspected_bottleneck,
+        },
+    }
+}
+
+/// The full engine loop over a validated spec and its topology,
+/// optionally replaying a warm-start plan and/or capturing the run's
+/// trajectory for a future warm start.
+///
+/// Per-iteration state is kept by spec position; the name-keyed outputs
+/// (results, diagnostics, trace snapshots) are built from the
+/// topology's sorted keys where they leave the engine.
 ///
 /// Returns the outcome, the capture (`Some` only when `capture` is set
 /// **and** the run converged — a stopped run's trajectory is not a
@@ -615,149 +775,67 @@ fn run(spec: &SystemSpec, config: &SystemConfig) -> Result<RunOutcome, SystemErr
 pub(crate) fn run_with(
     spec: &SystemSpec,
     config: &SystemConfig,
-    levels: &PropagationLevels,
+    topology: &Topology,
     warm: Option<&EngineWarm<'_>>,
     capture: bool,
 ) -> Result<(RunOutcome, Option<Capture>, u64), SystemError> {
-    // The topology is fixed across iterations: index it once.
-    let index = SpecIndex::of(spec);
     let started = Instant::now();
     let recorder = config.local.recorder.clone();
     let _run_span = recorder.span("analyze", "engine");
     let mut trace = ConvergenceTrace::new();
-    let mut task_rt: BTreeMap<String, ResponseTime> = BTreeMap::new();
-    let mut frame_rt: BTreeMap<String, ResponseTime> = BTreeMap::new();
 
-    // Degradation state: last two completed response-time vectors, last
-    // completed per-entity results, growth tracks. The resolved models
-    // of completed iterations are kept too — all of them when capturing,
+    // Degradation state: the last two completed iterations' results and
+    // the growth tracks (by position in `topology.entities`; empty until
+    // an iteration misses the fixed point). The resolved models of
+    // completed iterations are kept too — all of them when capturing,
     // else only the last, whose models a stopped run salvages.
-    let mut prev_rt_vec: BTreeMap<String, ResponseTime> = BTreeMap::new();
-    let mut last_rt_vec: BTreeMap<String, ResponseTime> = BTreeMap::new();
-    let mut last_task_results: BTreeMap<String, TaskResult> = BTreeMap::new();
-    let mut last_frame_results: BTreeMap<String, TaskResult> = BTreeMap::new();
-    let mut tracks: BTreeMap<String, Track> = BTreeMap::new();
+    let mut last: Option<IterationResults> = None;
+    let mut previous: Option<IterationResults> = None;
+    let mut tracks: Vec<Track> = Vec::new();
     let mut resolutions: Vec<Resolution> = Vec::new();
     let mut trajectory = Vec::new();
     let mut completed = 0u64;
     let mut replayed_total = 0u64;
 
-    let stopped = |stop: StopReason,
-                   completed: u64,
-                   trace: ConvergenceTrace,
-                   tracks: &BTreeMap<String, Track>,
-                   last_task_results: BTreeMap<String, TaskResult>,
-                   last_frame_results: BTreeMap<String, TaskResult>,
-                   last_rt_vec: BTreeMap<String, ResponseTime>,
-                   prev_rt_vec: BTreeMap<String, ResponseTime>,
-                   last_resolution: Option<&Resolution>| {
-        let failed_entity = match &stop {
-            StopReason::LocalAnalysisFailed { entity, .. } => Some(entity.clone()),
-            _ => None,
-        };
-        let status_of = |key: &str, name: &str, results: &BTreeMap<String, TaskResult>| {
-            if failed_entity.as_deref() == Some(key) {
-                ConvergenceStatus::Failed
-            } else if let Some(track) = tracks.get(key) {
-                track.status(config.divergence_streak)
-            } else if results.contains_key(name) {
-                ConvergenceStatus::Unsettled
-            } else {
-                ConvergenceStatus::Unknown
-            }
-        };
-        let task_convergence: BTreeMap<String, ConvergenceStatus> = spec
-            .tasks
-            .iter()
-            .map(|t| {
-                let key = format!("task:{}", t.name);
-                (t.name.clone(), status_of(&key, &t.name, &last_task_results))
-            })
-            .collect();
-        let frame_convergence: BTreeMap<String, ConvergenceStatus> = spec
-            .frames
-            .iter()
-            .map(|f| {
-                let key = format!("frame:{}", f.name);
-                (
-                    f.name.clone(),
-                    status_of(&key, &f.name, &last_frame_results),
-                )
-            })
-            .collect();
-        let mut diverging: Vec<(u64, String)> = tracks
-            .iter()
-            .filter(|(_, t)| config.divergence_streak > 0 && t.streak >= config.divergence_streak)
-            .map(|(k, t)| (t.streak, k.clone()))
-            .collect();
-        diverging.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        let diverging: Vec<String> = diverging.into_iter().map(|(_, k)| k).collect();
-        let suspect = failed_entity
-            .clone()
-            .or_else(|| match &stop {
-                StopReason::DivergenceDetected { entity, .. } => Some(entity.clone()),
-                _ => None,
-            })
-            .or_else(|| diverging.first().cloned());
-        let suspected_bottleneck = suspect.and_then(|e| hosting_resource(spec, &e));
-        let (task_activations, frame_inputs) =
-            last_resolution.map(|r| r.salvage(spec)).unwrap_or_default();
-        RunOutcome::Stopped {
-            partial: SystemResults {
-                mode: config.mode,
-                iterations: completed,
-                complete: false,
-                task_results: last_task_results,
-                frame_results: last_frame_results,
-                task_convergence,
-                frame_convergence,
-                task_activations,
-                frame_inputs,
-                frame_outputs: BTreeMap::new(),
-                unpacked_signals: BTreeMap::new(),
-            },
-            diagnostics: Diagnostics {
-                stop,
-                iterations: completed,
-                elapsed: started.elapsed(),
-                trace,
-                diverging,
-                last_response_times: last_rt_vec,
-                previous_response_times: prev_rt_vec,
-                suspected_bottleneck,
-            },
-        }
-    };
-
-    for iteration in 1..=config.max_global_iterations {
-        if config.local.budget.exhausted() {
+    macro_rules! stop {
+        ($reason:expr) => {
             return Ok((
                 stopped(
-                    StopReason::BudgetExhausted,
-                    completed,
-                    trace,
-                    &tracks,
-                    last_task_results,
-                    last_frame_results,
-                    last_rt_vec,
-                    prev_rt_vec,
-                    resolutions.last(),
+                    spec,
+                    config,
+                    topology,
+                    started,
+                    $reason,
+                    Salvage {
+                        completed,
+                        trace,
+                        tracks: &tracks,
+                        last,
+                        previous,
+                        resolution: resolutions.last(),
+                    },
                 ),
                 None,
                 replayed_total,
-            ));
+            ))
+        };
+    }
+
+    for iteration in 1..=config.max_global_iterations {
+        if config.local.budget.exhausted() {
+            stop!(StopReason::BudgetExhausted);
         }
         let iter_span = recorder.span("global_iteration", "engine");
         let warm_iter = warm.map(|plan| WarmIteration {
             plan,
             replay: plan.snapshot.replay(iteration),
         });
-        let mut resolver = Resolver::new(spec, config, &index, &task_rt);
+        let prev_tasks = last.as_ref().map_or(&[][..], |l| &l.tasks);
+        let mut resolver = Resolver::new(spec, config, topology, prev_tasks);
         if let Some(w) = &warm_iter {
             resolver.seed(w);
         }
-        let iteration_outcome =
-            run_iteration(&mut resolver, spec, config, levels, warm_iter.as_ref());
+        let iteration_outcome = run_iteration(&mut resolver, spec, config, warm_iter.as_ref());
         // Flush the shared curve caches' buffered hit/miss counters at a
         // deterministic point, in cache-creation order — never from a
         // late `Drop`.
@@ -766,77 +844,37 @@ pub(crate) fn run_with(
         let acc = match iteration_outcome {
             Ok(acc) => acc,
             Err(IterationError::Hard(e)) => return Err(e),
-            Err(IterationError::Budget) => {
-                return Ok((
-                    stopped(
-                        StopReason::BudgetExhausted,
-                        completed,
-                        trace,
-                        &tracks,
-                        last_task_results,
-                        last_frame_results,
-                        last_rt_vec,
-                        prev_rt_vec,
-                        resolutions.last(),
-                    ),
-                    None,
-                    replayed_total,
-                ));
-            }
+            Err(IterationError::Budget) => stop!(StopReason::BudgetExhausted),
             Err(IterationError::Local { entity, error }) => {
-                return Ok((
-                    stopped(
-                        StopReason::LocalAnalysisFailed { entity, error },
-                        completed,
-                        trace,
-                        &tracks,
-                        last_task_results,
-                        last_frame_results,
-                        last_rt_vec,
-                        prev_rt_vec,
-                        resolutions.last(),
-                    ),
-                    None,
-                    replayed_total,
-                ));
+                stop!(StopReason::LocalAnalysisFailed { entity, error })
             }
         };
-        let IterationAccum {
-            frames: new_frame_results,
-            tasks: new_task_results,
-            replayed,
-        } = acc;
+        let (results, replayed) = acc.finish();
         completed = iteration;
         replayed_total += replayed;
         recorder.add(Counter::GlobalIterations, 1);
         if capture {
-            trajectory.push((new_frame_results.clone(), new_task_results.clone()));
+            trajectory.push(results.clone());
         }
+        trace.push(results.snapshot(iteration, topology));
 
-        let new_task_rt: BTreeMap<String, ResponseTime> = new_task_results
-            .iter()
-            .map(|(k, v)| (k.clone(), v.response))
-            .collect();
-        let new_frame_rt: BTreeMap<String, ResponseTime> = new_frame_results
-            .iter()
-            .map(|(k, v)| (k.clone(), v.response))
-            .collect();
-
-        let new_rt_vec = prefixed_rt(&new_task_results, &new_frame_results);
-        trace.push(rt_snapshot(iteration, &new_rt_vec));
-
-        if new_task_rt == task_rt && new_frame_rt == frame_rt {
-            // Fixed point: assemble results from the final resolver state.
-            let mut task_activations = BTreeMap::new();
-            for (i, t) in spec.tasks.iter().enumerate() {
-                task_activations.insert(t.name.clone(), resolver.task_activation(i)?);
+        let fixed_point = match &last {
+            Some(last) => results.same_responses(last),
+            None => results.frames.is_empty() && results.tasks.is_empty(),
+        };
+        if fixed_point {
+            // Fixed point: assemble results from the final resolver
+            // state, resolving in spec order.
+            let mut task_activations = Vec::with_capacity(spec.tasks.len());
+            for i in 0..spec.tasks.len() {
+                task_activations.push(resolver.task_activation(i)?);
             }
-            let mut frame_inputs = BTreeMap::new();
-            let mut frame_outputs = BTreeMap::new();
+            let mut frame_inputs = Vec::with_capacity(spec.frames.len());
+            let mut frame_outputs = Vec::with_capacity(spec.frames.len());
             let mut unpacked_signals = BTreeMap::new();
             for (j, f) in spec.frames.iter().enumerate() {
-                frame_inputs.insert(f.name.clone(), resolver.analysis_outer(j)?);
-                frame_outputs.insert(f.name.clone(), resolver.frame_output(j)?);
+                frame_inputs.push(resolver.analysis_outer(j)?);
+                frame_outputs.push(resolver.frame_output(j)?);
                 if config.mode == AnalysisMode::Hierarchical {
                     let processed = resolver.processed_hem(j)?;
                     for s in &f.signals {
@@ -856,24 +894,37 @@ pub(crate) fn run_with(
                     resolutions,
                 }
             });
-            let task_convergence = spec
-                .tasks
-                .iter()
-                .map(|t| (t.name.clone(), ConvergenceStatus::Converged))
+            let by_task_name = |models: &[ModelRef]| -> BTreeMap<String, ModelRef> {
+                topology
+                    .sorted_tasks()
+                    .map(|i| (spec.tasks[i].name.clone(), models[i].clone()))
+                    .collect()
+            };
+            let by_frame_name = |models: &[ModelRef]| -> BTreeMap<String, ModelRef> {
+                topology
+                    .sorted_frames()
+                    .map(|j| (spec.frames[j].name.clone(), models[j].clone()))
+                    .collect()
+            };
+            let task_convergence = topology
+                .sorted_tasks()
+                .map(|i| (spec.tasks[i].name.clone(), ConvergenceStatus::Converged))
                 .collect();
-            let frame_convergence = spec
-                .frames
-                .iter()
-                .map(|f| (f.name.clone(), ConvergenceStatus::Converged))
+            let frame_convergence = topology
+                .sorted_frames()
+                .map(|j| (spec.frames[j].name.clone(), ConvergenceStatus::Converged))
                 .collect();
+            let (task_results, frame_results) = results.named(spec, topology);
             let diagnostics = Diagnostics {
                 stop: StopReason::Converged,
                 iterations: iteration,
                 elapsed: started.elapsed(),
                 trace,
                 diverging: Vec::new(),
-                last_response_times: new_rt_vec,
-                previous_response_times: last_rt_vec,
+                last_response_times: results.response_times(topology),
+                previous_response_times: last
+                    .map(|l| l.response_times(topology))
+                    .unwrap_or_default(),
                 suspected_bottleneck: None,
             };
             return Ok((
@@ -882,13 +933,13 @@ pub(crate) fn run_with(
                         mode: config.mode,
                         iterations: iteration,
                         complete: true,
-                        task_results: new_task_results,
-                        frame_results: new_frame_results,
+                        task_results,
+                        frame_results,
                         task_convergence,
                         frame_convergence,
-                        task_activations,
-                        frame_inputs,
-                        frame_outputs,
+                        task_activations: by_task_name(&task_activations),
+                        frame_inputs: by_frame_name(&frame_inputs),
+                        frame_outputs: by_frame_name(&frame_outputs),
                         unpacked_signals,
                     },
                     diagnostics,
@@ -897,61 +948,32 @@ pub(crate) fn run_with(
                 replayed_total,
             ));
         }
+        push_resolution(&mut resolutions, resolver.tables, capture);
 
         // Track growth and detect sustained divergence early.
-        for (key, rt) in &new_rt_vec {
-            tracks.entry(key.clone()).or_default().update(*rt);
+        if tracks.is_empty() {
+            tracks = vec![Track::default(); topology.entities.len()];
         }
-        prev_rt_vec = std::mem::replace(&mut last_rt_vec, new_rt_vec);
-        last_task_results = new_task_results;
-        last_frame_results = new_frame_results;
-        push_resolution(&mut resolutions, resolver.tables, capture);
+        for (track, &entity) in tracks.iter_mut().zip(&topology.entities) {
+            track.update(results.response(entity));
+        }
+        previous = last.replace(results);
         if config.divergence_streak > 0 {
-            if let Some((key, track)) = tracks
+            // The last longest streak in prefixed-key order.
+            if let Some((k, track)) = tracks
                 .iter()
+                .enumerate()
                 .filter(|(_, t)| t.streak >= config.divergence_streak)
                 .max_by_key(|(_, t)| t.streak)
             {
-                let stop = StopReason::DivergenceDetected {
-                    entity: key.clone(),
+                stop!(StopReason::DivergenceDetected {
+                    entity: topology.entity_keys.get(k).to_string(),
                     streak: track.streak,
-                };
-                return Ok((
-                    stopped(
-                        stop,
-                        completed,
-                        trace,
-                        &tracks,
-                        last_task_results,
-                        last_frame_results,
-                        last_rt_vec,
-                        prev_rt_vec,
-                        resolutions.last(),
-                    ),
-                    None,
-                    replayed_total,
-                ));
+                });
             }
         }
-
-        task_rt = new_task_rt;
-        frame_rt = new_frame_rt;
     }
-    Ok((
-        stopped(
-            StopReason::IterationLimitReached,
-            completed,
-            trace,
-            &tracks,
-            last_task_results,
-            last_frame_results,
-            last_rt_vec,
-            prev_rt_vec,
-            resolutions.last(),
-        ),
-        None,
-        replayed_total,
-    ))
+    stop!(StopReason::IterationLimitReached)
 }
 
 /// Appends a completed iteration's resolved models: when capturing, to
@@ -976,13 +998,15 @@ fn push_resolution(resolutions: &mut Vec<Resolution>, mut resolution: Resolution
 struct Resolver<'a> {
     spec: &'a SystemSpec,
     config: &'a SystemConfig,
-    index: &'a SpecIndex<'a>,
-    prev_task_rt: &'a BTreeMap<String, ResponseTime>,
+    topology: &'a Topology,
+    /// The previous iteration's task results, by spec position (empty
+    /// in the first iteration).
+    prev_tasks: &'a [Record],
     /// The memo tables: this iteration's resolved models, moved out
     /// when the iteration completes (for salvage or warm-start capture).
     tables: Resolution,
     /// This iteration's bus-analysis result of `spec.frames[j]`.
-    frame_results: Vec<Option<TaskResult>>,
+    frame_results: Vec<Option<Record>>,
     visiting_tasks: Vec<bool>,
     visiting_frames: Vec<bool>,
     /// Every shared curve cache created (or forked) this iteration, in
@@ -998,14 +1022,14 @@ impl<'a> Resolver<'a> {
     fn new(
         spec: &'a SystemSpec,
         config: &'a SystemConfig,
-        index: &'a SpecIndex<'a>,
-        prev_task_rt: &'a BTreeMap<String, ResponseTime>,
+        topology: &'a Topology,
+        prev_tasks: &'a [Record],
     ) -> Self {
         Resolver {
             spec,
             config,
-            index,
-            prev_task_rt,
+            topology,
+            prev_tasks,
             tables: Resolution::empty(spec),
             frame_results: vec![None; spec.frames.len()],
             visiting_tasks: vec![false; spec.tasks.len()],
@@ -1024,14 +1048,14 @@ impl<'a> Resolver<'a> {
     /// cache traffic is this run's; everything else is shared.
     fn seed(&mut self, warm: &WarmIteration<'_>) {
         let record = warm.replay.resolution;
-        let index = self.index;
-        let clean_cpus = index.cpu_tasks.iter().zip(&warm.plan.clean_cpus);
+        let topology = self.topology;
+        let clean_cpus = topology.cpu_tasks.iter().zip(&warm.plan.clean_cpus);
         for (tasks, _) in clean_cpus.filter(|(_, &clean)| clean) {
             for &i in tasks {
                 self.tables.tasks[i] = record.tasks[i].as_ref().map(|r| self.replayed(r));
             }
         }
-        let clean_buses = index.bus_frames.iter().zip(&warm.plan.clean_buses);
+        let clean_buses = topology.bus_frames.iter().zip(&warm.plan.clean_buses);
         for (frames, _) in clean_buses.filter(|(_, &clean)| clean) {
             for &j in frames {
                 self.tables.packed[j] = record.packed[j].clone();
@@ -1056,7 +1080,7 @@ impl<'a> Resolver<'a> {
     /// `packing_ops`: replayed packings enter the iteration's state as
     /// computed ones do, so warm and cold runs count alike.
     fn count_replayed_packings(&self, b: usize) {
-        let packed = self.index.bus_frames[b]
+        let packed = self.topology.bus_frames[b]
             .iter()
             .filter(|&&j| self.tables.packed[j].is_some())
             .count() as u64;
@@ -1106,28 +1130,6 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    fn task_index(&self, name: &str) -> Result<usize, SystemError> {
-        self.index
-            .tasks
-            .get(name)
-            .copied()
-            .ok_or_else(|| SystemError::UnknownReference {
-                kind: "task",
-                name: name.to_string(),
-            })
-    }
-
-    fn frame_index(&self, name: &str) -> Result<usize, SystemError> {
-        self.index
-            .frames
-            .get(name)
-            .copied()
-            .ok_or_else(|| SystemError::UnknownReference {
-                kind: "frame",
-                name: name.to_string(),
-            })
-    }
-
     /// The frame-activation stream of `spec.frames[j]` as the bus
     /// analysis sees it: the packed outer stream, SEM-fitted under
     /// [`AnalysisMode::FlatSem`].
@@ -1160,55 +1162,66 @@ impl<'a> Resolver<'a> {
         Ok(model)
     }
 
-    fn prev_rt(&self, task: &str) -> ResponseTime {
-        self.prev_task_rt
-            .get(task)
-            .copied()
-            .unwrap_or(ResponseTime::new(Time::ZERO, Time::ZERO))
+    /// The previous iteration's response time of `spec.tasks[i]` (zero
+    /// in the first iteration).
+    fn prev_rt(&self, i: usize) -> ResponseTime {
+        self.prev_tasks
+            .get(i)
+            .map_or(ResponseTime::new(Time::ZERO, Time::ZERO), |r| r.response)
     }
 
-    fn resolve_source(&mut self, source: &ActivationSpec) -> Result<ModelRef, SystemError> {
-        match source {
-            ActivationSpec::External(model) => Ok(model.clone()),
-            ActivationSpec::TaskOutput(task) => {
-                let input = self.task_activation(self.task_index(task)?)?;
-                let rt = self.prev_rt(task);
+    /// Resolves an activation source: `wire`, its wiring in the
+    /// topology, names what it reads by spec position, while external
+    /// models come from the spec itself.
+    fn resolve_source(
+        &mut self,
+        wire: &Wire,
+        source: &ActivationSpec,
+    ) -> Result<ModelRef, SystemError> {
+        match (wire, source) {
+            (_, ActivationSpec::External(model)) => Ok(model.clone()),
+            (&Wire::TaskOutput(i), _) => {
+                let input = self.task_activation(i)?;
+                let rt = self.prev_rt(i);
                 Ok(OutputModel::new(input, rt.r_minus, rt.r_plus)?.shared())
             }
-            ActivationSpec::Signal { frame, signal } => match self.config.mode {
-                AnalysisMode::Hierarchical => {
-                    let processed = self.processed_hem(self.frame_index(frame)?)?;
-                    let unpacked = processed.unpack_by_name(signal).ok_or_else(|| {
-                        SystemError::UnknownReference {
-                            kind: "signal",
-                            name: signal_key(frame, signal),
-                        }
-                    })?;
-                    Ok(if self.config.tighten_inner {
-                        hem_event_models::ops::AdditiveClosure::new(unpacked).shared()
-                    } else {
-                        unpacked
-                    })
+            (&Wire::Signal { frame: j, .. }, ActivationSpec::Signal { frame, signal }) => {
+                match self.config.mode {
+                    AnalysisMode::Hierarchical => {
+                        let processed = self.processed_hem(j)?;
+                        let unpacked = processed.unpack_by_name(signal).ok_or_else(|| {
+                            SystemError::UnknownReference {
+                                kind: "signal",
+                                name: signal_key(frame, signal),
+                            }
+                        })?;
+                        Ok(if self.config.tighten_inner {
+                            hem_event_models::ops::AdditiveClosure::new(unpacked).shared()
+                        } else {
+                            unpacked
+                        })
+                    }
+                    AnalysisMode::Flat | AnalysisMode::FlatSem => self.frame_output(j),
                 }
-                AnalysisMode::Flat | AnalysisMode::FlatSem => {
-                    self.frame_output(self.frame_index(frame)?)
-                }
-            },
-            ActivationSpec::FrameArrivals(frame) => self.frame_output(self.frame_index(frame)?),
-            ActivationSpec::AnyOf(sources) => {
-                let models = sources
+            }
+            (&Wire::FrameArrivals(j), _) => self.frame_output(j),
+            (Wire::AnyOf(wires), ActivationSpec::AnyOf(sources)) => {
+                let models = wires
                     .iter()
-                    .map(|s| self.resolve_source(s))
+                    .zip(sources)
+                    .map(|(w, s)| self.resolve_source(w, s))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(hem_event_models::ops::OrJoin::new(models)?.shared())
             }
-            ActivationSpec::AllOf(sources) => {
-                let models = sources
+            (Wire::AllOf(wires), ActivationSpec::AllOf(sources)) => {
+                let models = wires
                     .iter()
-                    .map(|s| self.resolve_source(s))
+                    .zip(sources)
+                    .map(|(w, s)| self.resolve_source(w, s))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(hem_event_models::ops::AndJoin::new(models)?.shared())
             }
+            _ => unreachable!("a validated spec's topology wires every source"),
         }
     }
 
@@ -1223,7 +1236,7 @@ impl<'a> Resolver<'a> {
                 name: task.name.clone(),
             });
         }
-        let resolved = self.resolve_source(&task.activation)?;
+        let resolved = self.resolve_source(&self.topology.task_wires[i], &task.activation)?;
         let resolved = match self.analytic_lift(&resolved) {
             Some(curve) => Resolved::Lifted(curve),
             // Memoized: CPU busy windows evaluate the activation stream
@@ -1251,8 +1264,9 @@ impl<'a> Resolver<'a> {
             });
         }
         let mut signals = Vec::with_capacity(frame.signals.len());
-        for s in &frame.signals {
-            let model = self.resolve_source(&s.source)?;
+        let wires = self.topology.frame_signal_wires(j);
+        for (s, wire) in frame.signals.iter().zip(wires) {
+            let model = self.resolve_source(wire, &s.source)?;
             signals.push(Signal::new(s.name.clone(), model, s.transfer));
         }
         let com = ComFrame::new(
@@ -1271,10 +1285,10 @@ impl<'a> Resolver<'a> {
     /// Lowers every frame on `spec.buses[b]` to its generic analysis
     /// task (in spec order), resolving packings and outer streams.
     fn lower_bus(&mut self, b: usize) -> Result<Vec<AnalysisTask>, SystemError> {
-        let index = self.index;
+        let topology = self.topology;
         let bus_config = self.spec.buses[b].config;
-        let mut bus_frames = Vec::with_capacity(index.bus_frames[b].len());
-        for &j in &index.bus_frames[b] {
+        let mut bus_frames = Vec::with_capacity(topology.bus_frames[b].len());
+        for &j in &topology.bus_frames[b] {
             let outer = self.analysis_outer(j)?;
             let f = &self.spec.frames[j];
             bus_frames.push(BusFrame::new(
@@ -1290,8 +1304,8 @@ impl<'a> Resolver<'a> {
     /// Lowers every task on `spec.cpus[c]` to its generic analysis task
     /// (in spec order), resolving activation models.
     fn lower_cpu(&mut self, c: usize) -> Result<Vec<AnalysisTask>, SystemError> {
-        let index = self.index;
-        index.cpu_tasks[c]
+        let topology = self.topology;
+        topology.cpu_tasks[c]
             .iter()
             .map(|&i| {
                 let input = self.task_activation(i)?;
@@ -1311,18 +1325,17 @@ impl<'a> Resolver<'a> {
     /// whole bus sequentially when no level committed it — the fallback
     /// path for resources in a dependency cycle (where it reproduces the
     /// purely sequential engine's behaviour, cycle errors included).
-    fn frame_result(&mut self, j: usize) -> Result<TaskResult, SystemError> {
+    fn frame_result(&mut self, j: usize) -> Result<Record, SystemError> {
         if self.frame_results[j].is_none() {
-            let b = self.index.buses[self.spec.frames[j].bus.as_str()];
+            let topology = self.topology;
+            let b = topology.frame_bus[j].expect("a validated frame has a bus");
             let tasks = self.lower_bus(b)?;
             let results = spnp::analyze(&tasks, &self.config.local)?;
-            for (&k, result) in self.index.bus_frames[b].iter().zip(results) {
-                self.frame_results[k] = Some(result);
+            for (&k, result) in topology.bus_frames[b].iter().zip(&results) {
+                self.frame_results[k] = Some(Record::of(result));
             }
         }
-        Ok(self.frame_results[j]
-            .clone()
-            .expect("a bus analysis covers every frame on the bus"))
+        Ok(self.frame_results[j].expect("a bus analysis covers every frame on the bus"))
     }
 
     /// The processed HEM of `spec.frames[j]`.

@@ -186,6 +186,18 @@ impl SystemResults {
         self.frame_convergence.get(name).copied()
     }
 
+    /// Every task's convergence status, ordered by name (the order of
+    /// [`SystemResults::tasks`]).
+    pub fn task_statuses(&self) -> impl Iterator<Item = (&str, ConvergenceStatus)> {
+        self.task_convergence.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
+    /// Every frame's convergence status, ordered by name (the order of
+    /// [`SystemResults::frames`]).
+    pub fn frame_statuses(&self) -> impl Iterator<Item = (&str, ConvergenceStatus)> {
+        self.frame_convergence.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
     /// Number of global iterations until the fixed point.
     #[must_use]
     pub fn iterations(&self) -> u64 {

@@ -6,11 +6,11 @@
 //! [`WarmStart`] snapshot captures the full per-iteration result
 //! trajectory of a converged analysis, a spec diff computes the *damage
 //! cone* — the resources transitively reachable from any mutated entity
-//! in the [`ResourceGraph`] — and [`analyze_incremental`] re-runs the
-//! fixed point replaying every entity outside the cone from the
-//! snapshot: its resolved models (activation streams, packings, outer
-//! streams) and its busy-window results, so each iteration costs
-//! O(damage cone).
+//! in the [`ResourceGraph`](crate::graph::ResourceGraph) — and
+//! [`analyze_incremental`] re-runs the fixed point replaying every
+//! entity outside the cone from the snapshot: its resolved models
+//! (activation streams, packings, outer streams) and its busy-window
+//! results, so each iteration costs O(damage cone).
 //!
 //! # Why replaying is exact
 //!
@@ -40,24 +40,27 @@
 //! dependency cycles (the cyclic sub-system is analysed by a lazy
 //! sequential path whose work cannot be partitioned by resource).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use hem_analysis::TaskResult;
+use hem_analysis::Priority;
+use hem_autosar_com::{FrameType, TransferProperty};
+use hem_can::{CanBusConfig, CanFrameConfig, FrameFormat};
+use hem_event_models::ModelRef;
 use hem_obs::Counter;
 use hem_time::Time;
 
 use crate::engine::{
-    run_with, validate, Capture, EngineWarm, Resolution, RobustAnalysis, RunOutcome,
+    run_with, validate, Capture, EngineWarm, IterationResults, Resolution, RobustAnalysis,
+    RunOutcome,
 };
-use crate::graph::{PropagationLevels, ResourceGraph};
+use crate::graph::{Topology, Wire};
 use crate::result::SystemConfig;
-use crate::spec::{ActivationSpec, AnalysisMode, SignalSpec, SystemSpec};
+use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec, TaskSpec};
 use crate::SystemError;
 
-/// A reusable snapshot of a **converged** analysis: the analysed spec,
-/// the analysis-shaping configuration, and the per-iteration results
-/// and resolved models.
+/// A reusable snapshot of a **converged** analysis: the analysed spec's
+/// topology and value fingerprint, the analysis-shaping configuration,
+/// and the per-iteration results and resolved models.
 ///
 /// Produced by [`analyze_incremental`] (the `snapshot` field of its
 /// outcome) and fed back into the next call. Snapshots are only taken
@@ -65,18 +68,20 @@ use crate::SystemError;
 /// point and cannot seed a replay.
 #[derive(Debug)]
 pub struct WarmStart {
-    /// The spec the snapshot was computed from, kept alive so external
-    /// event models can be compared by allocation identity (an `Arc`
-    /// address can only be trusted while the original is alive).
-    spec: SystemSpec,
+    /// The analysed spec's topology, shared with every later snapshot
+    /// of a spec with the same names, hosting and wiring.
+    topology: Arc<Topology>,
+    /// The analysed spec's values, which the next spec is diffed
+    /// against.
+    fingerprint: Fingerprint,
     mode: AnalysisMode,
     sem_fit_horizon: u64,
     tighten_inner: bool,
     max_busy_window: Time,
     max_activations: u64,
     max_iterations: u64,
-    /// `(frame results, task results)` of iterations `1..=n`.
-    trajectory: Vec<(BTreeMap<String, TaskResult>, BTreeMap<String, TaskResult>)>,
+    /// The results of iterations `1..=n`, by spec position.
+    trajectory: Vec<IterationResults>,
     /// The resolved models of iterations `1..=n`, indexed by spec
     /// position, seeded into clean entities of the next run.
     resolutions: Vec<Resolution>,
@@ -84,15 +89,20 @@ pub struct WarmStart {
 
 /// The snapshot state replayed for one global iteration.
 pub(crate) struct Replay<'w> {
-    pub(crate) frames: &'w BTreeMap<String, TaskResult>,
-    pub(crate) tasks: &'w BTreeMap<String, TaskResult>,
+    pub(crate) results: &'w IterationResults,
     pub(crate) resolution: &'w Resolution,
 }
 
 impl WarmStart {
-    pub(crate) fn assemble(spec: &SystemSpec, config: &SystemConfig, capture: Capture) -> Self {
+    fn assemble(
+        topology: Arc<Topology>,
+        spec: &SystemSpec,
+        config: &SystemConfig,
+        capture: Capture,
+    ) -> Self {
         WarmStart {
-            spec: spec.clone(),
+            topology,
+            fingerprint: Fingerprint::of(spec),
             mode: config.mode,
             sem_fit_horizon: config.sem_fit_horizon,
             tighten_inner: config.tighten_inner,
@@ -118,10 +128,8 @@ impl WarmStart {
         let idx = iteration
             .min(self.trajectory.len() as u64)
             .saturating_sub(1) as usize;
-        let (frames, tasks) = &self.trajectory[idx];
         Replay {
-            frames,
-            tasks,
+            results: &self.trajectory[idx],
             resolution: &self.resolutions[idx],
         }
     }
@@ -140,6 +148,94 @@ impl WarmStart {
             && self.max_busy_window == config.local.max_busy_window
             && self.max_activations == config.local.max_activations
             && self.max_iterations == config.local.max_iterations
+    }
+}
+
+/// The values of a spec that its [`Topology`] does not hold — what a
+/// diff compares a later spec against, in place of a deep clone of the
+/// spec. External models are kept as `Arc` clones: holding the
+/// allocations alive is what makes comparing their addresses sound (an
+/// address can only be trusted while the original is alive).
+#[derive(Debug)]
+struct Fingerprint {
+    /// Wire timing of `spec.buses[b]`.
+    buses: Vec<CanBusConfig>,
+    tasks: Vec<TaskValues>,
+    frames: Vec<FrameValues>,
+    /// Transfer property of every signal, in the topology's
+    /// frame-major signal numbering.
+    transfers: Vec<TransferProperty>,
+    /// Every external model, in the topology's external-slot numbering.
+    externals: Vec<ModelRef>,
+}
+
+/// The scalars of a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TaskValues {
+    bcet: Time,
+    wcet: Time,
+    priority: Priority,
+}
+
+impl TaskValues {
+    fn of(t: &TaskSpec) -> Self {
+        TaskValues {
+            bcet: t.bcet,
+            wcet: t.wcet,
+            priority: t.priority,
+        }
+    }
+}
+
+/// The scalars of a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrameValues {
+    frame_type: FrameType,
+    payload_bytes: u8,
+    format: FrameFormat,
+    priority: Priority,
+}
+
+impl FrameValues {
+    fn of(f: &FrameSpec) -> Self {
+        FrameValues {
+            frame_type: f.frame_type,
+            payload_bytes: f.payload_bytes,
+            format: f.format,
+            priority: f.priority,
+        }
+    }
+}
+
+impl Fingerprint {
+    fn of(spec: &SystemSpec) -> Self {
+        fn externals(source: &ActivationSpec, out: &mut Vec<ModelRef>) {
+            match source {
+                ActivationSpec::External(model) => out.push(model.clone()),
+                ActivationSpec::AnyOf(sources) | ActivationSpec::AllOf(sources) => {
+                    sources.iter().for_each(|s| externals(s, out));
+                }
+                _ => {}
+            }
+        }
+        let mut models = Vec::new();
+        for t in &spec.tasks {
+            externals(&t.activation, &mut models);
+        }
+        for s in spec.frames.iter().flat_map(|f| &f.signals) {
+            externals(&s.source, &mut models);
+        }
+        Fingerprint {
+            buses: spec.buses.iter().map(|b| b.config).collect(),
+            tasks: spec.tasks.iter().map(TaskValues::of).collect(),
+            frames: spec.frames.iter().map(FrameValues::of).collect(),
+            transfers: spec
+                .frames
+                .iter()
+                .flat_map(|f| f.signals.iter().map(|s| s.transfer))
+                .collect(),
+            externals: models,
+        }
     }
 }
 
@@ -229,6 +325,11 @@ pub struct IncrementalOutcome {
 /// are **bit-for-bit identical** to a from-scratch run, at every thread
 /// count.
 ///
+/// When the diff proves names, hosting and wiring unchanged, the run
+/// also reuses the snapshot's topology instead of re-validating the
+/// spec and re-deriving its graph: only the changed frames' wire
+/// formats are checked again.
+///
 /// Reuse is visible in the recorder: `warm_start_hits` (replayed
 /// per-entity analyses), `cone_size` (resources re-analysed), and
 /// `full_fallbacks` (runs that could not reuse anything).
@@ -264,17 +365,31 @@ pub fn analyze_incremental(
     config: &SystemConfig,
     warm: Option<&WarmStart>,
 ) -> Result<IncrementalOutcome, SystemError> {
-    validate(spec)?;
-    let levels = PropagationLevels::of(spec);
     let recorder = config.local.recorder.clone();
-    let graph = ResourceGraph::of(spec);
-    let total_resources = graph.len();
-    match plan(spec, config, warm, &graph, &levels) {
+    let delta = warm.and_then(|w| diff(&w.topology, &w.fingerprint, spec));
+    let topology = match (warm, &delta) {
+        // Same names, hosting and wiring as a validated spec: only a
+        // changed wire format can make the spec invalid.
+        (Some(snapshot), Some(delta)) if !delta.rewired => {
+            for &j in &delta.reframed {
+                let f = &spec.frames[j];
+                CanFrameConfig::new(f.format, f.payload_bytes)?;
+            }
+            Arc::clone(&snapshot.topology)
+        }
+        _ => {
+            validate(spec)?;
+            Arc::new(Topology::of(spec))
+        }
+    };
+    let total_resources = topology.resource_count();
+    match plan(config, warm, delta, &topology) {
         Ok((engine_warm, dirty)) => {
             recorder.add(Counter::ConeSize, dirty.len() as u64);
             let (outcome, capture, replayed) =
-                run_with(spec, config, &levels, Some(&engine_warm), true)?;
+                run_with(spec, config, &topology, Some(&engine_warm), true)?;
             finish(
+                topology,
                 spec,
                 config,
                 outcome,
@@ -291,8 +406,10 @@ pub fn analyze_incremental(
         Err(reason) => {
             recorder.add(Counter::FullFallbacks, 1);
             recorder.add(Counter::ConeSize, total_resources as u64);
-            let (outcome, capture, _) = run_with(spec, config, &levels, None, true)?;
+            let (outcome, capture, _) = run_with(spec, config, &topology, None, true)?;
+            let dirty_resources = topology.resource_keys().map(String::from).collect();
             finish(
+                topology,
                 spec,
                 config,
                 outcome,
@@ -300,7 +417,7 @@ pub fn analyze_incremental(
                 ReuseReport {
                     warm: false,
                     fallback: Some(reason),
-                    dirty_resources: graph.resources().map(String::from).collect(),
+                    dirty_resources,
                     total_resources,
                     replayed_results: 0,
                 },
@@ -310,13 +427,14 @@ pub fn analyze_incremental(
 }
 
 fn finish(
+    topology: Arc<Topology>,
     spec: &SystemSpec,
     config: &SystemConfig,
     outcome: RunOutcome,
     capture: Option<Capture>,
     reuse: ReuseReport,
 ) -> Result<IncrementalOutcome, SystemError> {
-    let snapshot = capture.map(|c| WarmStart::assemble(spec, config, c));
+    let snapshot = capture.map(|c| WarmStart::assemble(topology, spec, config, c));
     let analysis = match outcome {
         RunOutcome::Converged {
             results,
@@ -343,11 +461,10 @@ fn finish(
 /// Decides between a warm plan (the engine's clean-resource flags plus
 /// the sorted dirty cone) and a fallback.
 fn plan<'w>(
-    spec: &SystemSpec,
     config: &SystemConfig,
     warm: Option<&'w WarmStart>,
-    graph: &ResourceGraph,
-    levels: &PropagationLevels,
+    delta: Option<Delta>,
+    topology: &Topology,
 ) -> Result<(EngineWarm<'w>, Vec<String>), FallbackReason> {
     let snapshot = warm.ok_or(FallbackReason::NoSnapshot)?;
     if snapshot.trajectory.is_empty() {
@@ -356,121 +473,224 @@ fn plan<'w>(
     if !snapshot.compatible(config) {
         return Err(FallbackReason::ConfigChanged);
     }
-    let seeds = diff(&snapshot.spec, spec).ok_or(FallbackReason::StructuralChange)?;
-    if levels.has_cycles() {
+    let delta = delta.ok_or(FallbackReason::StructuralChange)?;
+    if topology.has_cycles() {
         return Err(FallbackReason::DependencyCycles);
     }
-    let cone = graph.dependents_closure(seeds);
-    let clean = |kind: &str, name: &str| !cone.contains(&format!("{kind}:{name}"));
+    let cone = topology.dependents_closure(delta.seeds);
     let engine_warm = EngineWarm {
-        clean_buses: spec.buses.iter().map(|b| clean("bus", &b.name)).collect(),
-        clean_cpus: spec.cpus.iter().map(|c| clean("cpu", &c.name)).collect(),
+        clean_buses: (0..topology.buses.len()).map(|b| !cone[b]).collect(),
+        clean_cpus: (0..topology.cpus.len())
+            .map(|c| !cone[topology.cpu_resource(c)])
+            .collect(),
         snapshot,
     };
-    Ok((engine_warm, cone.into_iter().collect()))
+    let dirty = topology
+        .sorted_resources()
+        .filter(|&r| cone[r])
+        .map(|r| topology.resource_key(r).to_string())
+        .collect();
+    Ok((engine_warm, dirty))
 }
 
-/// The directly mutated resources between two structurally equal specs
-/// (prefixed keys), or `None` when the change is structural — entities
-/// added, removed, reordered, or re-hosted — and invalidation at
-/// resource granularity no longer applies.
-fn diff(old: &SystemSpec, new: &SystemSpec) -> Option<BTreeSet<String>> {
-    if old.cpus.len() != new.cpus.len()
-        || old.buses.len() != new.buses.len()
-        || old.tasks.len() != new.tasks.len()
-        || old.frames.len() != new.frames.len()
+/// How one entity differs from the snapshot's, in increasing severity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Change {
+    Same,
+    /// A value changed: a scalar or the identity of an external model.
+    Retimed,
+    /// The wiring changed: the topology must be derived again.
+    Rewired,
+}
+
+/// What a spec diff found between a snapshot and a structurally equal
+/// spec.
+#[derive(Debug, Default)]
+struct Delta {
+    /// Directly mutated resources (resource numbers, possibly repeated).
+    seeds: Vec<usize>,
+    /// Whether any wiring changed.
+    rewired: bool,
+    /// Frames whose payload size or identifier format changed, in spec
+    /// order: the values a reused topology must check again.
+    reframed: Vec<usize>,
+}
+
+impl Delta {
+    fn note(&mut self, change: Change, resource: usize) {
+        if change != Change::Same {
+            self.seeds.push(resource);
+        }
+        self.rewired |= change == Change::Rewired;
+    }
+}
+
+/// The directly mutated resources between a snapshot (its topology and
+/// fingerprint) and a structurally equal spec, or `None` when the change
+/// is structural — entities added, removed, reordered, renamed, or
+/// re-hosted — and invalidation at resource granularity no longer
+/// applies.
+fn diff(topology: &Topology, old: &Fingerprint, spec: &SystemSpec) -> Option<Delta> {
+    if topology.cpus.len() != spec.cpus.len()
+        || topology.buses.len() != spec.buses.len()
+        || topology.tasks.len() != spec.tasks.len()
+        || topology.frames.len() != spec.frames.len()
     {
         return None;
     }
-    let mut seeds = BTreeSet::new();
-    for (o, n) in old.cpus.iter().zip(&new.cpus) {
-        if o.name != n.name {
+    if spec
+        .cpus
+        .iter()
+        .enumerate()
+        .any(|(c, cpu)| topology.cpus.get(c) != cpu.name)
+    {
+        return None;
+    }
+    let mut delta = Delta::default();
+    for (b, bus) in spec.buses.iter().enumerate() {
+        if topology.buses.get(b) != bus.name {
             return None;
+        }
+        if old.buses[b] != bus.config {
+            delta.seeds.push(b);
         }
     }
-    for (o, n) in old.buses.iter().zip(&new.buses) {
-        if o.name != n.name {
+    for (i, t) in spec.tasks.iter().enumerate() {
+        let cpu = topology.task_cpu[i]?;
+        if topology.tasks.get(i) != t.name || topology.cpus.get(cpu) != t.cpu {
             return None;
         }
-        if o.config != n.config {
-            seeds.insert(format!("bus:{}", n.name));
-        }
+        let mut slot = topology.task_externals(i).start;
+        let wiring = compare(
+            topology,
+            &topology.task_wires[i],
+            &t.activation,
+            &old.externals,
+            &mut slot,
+        );
+        let values = if old.tasks[i] == TaskValues::of(t) {
+            Change::Same
+        } else {
+            Change::Retimed
+        };
+        delta.note(wiring.max(values), topology.cpu_resource(cpu));
     }
-    for (o, n) in old.tasks.iter().zip(&new.tasks) {
-        if o.name != n.name || o.cpu != n.cpu {
+    for (j, f) in spec.frames.iter().enumerate() {
+        let bus = topology.frame_bus[j]?;
+        if topology.frames.get(j) != f.name || topology.buses.get(bus) != f.bus {
             return None;
         }
-        if o.bcet != n.bcet
-            || o.wcet != n.wcet
-            || o.priority != n.priority
-            || !same_activation(&o.activation, &n.activation)
+        let values = old.frames[j];
+        let mut change = if values == FrameValues::of(f) {
+            Change::Same
+        } else {
+            Change::Retimed
+        };
+        if values.payload_bytes != f.payload_bytes || values.format != f.format {
+            delta.reframed.push(j);
+        }
+        let signals = topology.frame_signals(j);
+        if signals.len() != f.signals.len()
+            || signals
+                .zip(&f.signals)
+                .any(|(k, s)| topology.signal_names.get(k) != s.name)
         {
-            seeds.insert(format!("cpu:{}", n.cpu));
+            change = Change::Rewired;
+        } else {
+            let transfers = &old.transfers[topology.frame_signals(j)];
+            let wires = topology.frame_signal_wires(j);
+            let mut slot = topology.frame_externals(j).start;
+            for ((s, wire), transfer) in f.signals.iter().zip(wires).zip(transfers) {
+                if *transfer != s.transfer {
+                    change = change.max(Change::Retimed);
+                }
+                change = change.max(compare(
+                    topology,
+                    wire,
+                    &s.source,
+                    &old.externals,
+                    &mut slot,
+                ));
+            }
         }
+        delta.note(change, bus);
     }
-    for (o, n) in old.frames.iter().zip(&new.frames) {
-        if o.name != n.name || o.bus != n.bus {
-            return None;
-        }
-        if o.frame_type != n.frame_type
-            || o.payload_bytes != n.payload_bytes
-            || o.format != n.format
-            || o.priority != n.priority
-            || !same_signals(&o.signals, &n.signals)
-        {
-            seeds.insert(format!("bus:{}", n.bus));
-        }
-    }
-    Some(seeds)
+    Some(delta)
 }
 
-fn same_signals(old: &[SignalSpec], new: &[SignalSpec]) -> bool {
-    old.len() == new.len()
-        && old.iter().zip(new).all(|(o, n)| {
-            o.name == n.name && o.transfer == n.transfer && same_activation(&o.source, &n.source)
-        })
-}
-
-/// Structural equality of activation wiring. External event models are
-/// opaque trait objects without an equality; the only reliable
-/// "unchanged" signal is sharing the same allocation, so they compare
-/// by `Arc` address — the input-model fingerprint. A false negative
+/// Compares an activation source with the snapshot's wiring of it.
+///
+/// Wiring compares by name (the topology's names are the snapshot
+/// spec's). External event models are opaque trait objects without an
+/// equality; the only reliable "unchanged" signal is sharing the same
+/// allocation, so they compare by `Arc` address against the
+/// fingerprint's model in the next external slot. A false negative
 /// (equal model, fresh allocation) merely widens the cone: sound, just
-/// without reuse. The snapshot keeps its spec alive, so a matching
-/// address genuinely is the same model.
-fn same_activation(a: &ActivationSpec, b: &ActivationSpec) -> bool {
-    match (a, b) {
-        (ActivationSpec::External(x), ActivationSpec::External(y)) => {
-            std::ptr::addr_eq(Arc::as_ptr(x), Arc::as_ptr(y))
+/// without reuse.
+fn compare(
+    topology: &Topology,
+    old: &Wire,
+    new: &ActivationSpec,
+    externals: &[ModelRef],
+    slot: &mut usize,
+) -> Change {
+    let same_if = |same: bool| {
+        if same {
+            Change::Same
+        } else {
+            Change::Rewired
         }
-        (ActivationSpec::TaskOutput(x), ActivationSpec::TaskOutput(y)) => x == y,
+    };
+    match (old, new) {
+        (Wire::External, ActivationSpec::External(model)) => {
+            let same = externals
+                .get(*slot)
+                .is_some_and(|old| std::ptr::addr_eq(Arc::as_ptr(old), Arc::as_ptr(model)));
+            *slot += 1;
+            if same {
+                Change::Same
+            } else {
+                Change::Retimed
+            }
+        }
+        (&Wire::TaskOutput(i), ActivationSpec::TaskOutput(task)) => {
+            same_if(topology.tasks.get(i) == task)
+        }
         (
-            ActivationSpec::Signal {
-                frame: fa,
-                signal: sa,
+            &Wire::Signal {
+                frame: j,
+                signal: k,
             },
-            ActivationSpec::Signal {
-                frame: fb,
-                signal: sb,
-            },
-        ) => fa == fb && sa == sb,
-        (ActivationSpec::FrameArrivals(x), ActivationSpec::FrameArrivals(y)) => x == y,
-        (ActivationSpec::AnyOf(xs), ActivationSpec::AnyOf(ys))
-        | (ActivationSpec::AllOf(xs), ActivationSpec::AllOf(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_activation(x, y))
+            ActivationSpec::Signal { frame, signal },
+        ) => {
+            let k = topology.frame_signals(j).start + k;
+            same_if(topology.frames.get(j) == frame && topology.signal_names.get(k) == signal)
         }
-        _ => false,
+        (&Wire::FrameArrivals(j), ActivationSpec::FrameArrivals(frame)) => {
+            same_if(topology.frames.get(j) == frame)
+        }
+        (Wire::AnyOf(olds), ActivationSpec::AnyOf(news))
+        | (Wire::AllOf(olds), ActivationSpec::AllOf(news)) => {
+            if olds.len() != news.len() {
+                return Change::Rewired;
+            }
+            olds.iter()
+                .zip(news)
+                .map(|(o, n)| compare(topology, o, n, externals, slot))
+                .max()
+                .unwrap_or(Change::Same)
+        }
+        _ => Change::Rewired,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::spec::{FrameSpec, SignalSpec, TaskSpec};
-    use hem_analysis::Priority;
-    use hem_autosar_com::{FrameType, TransferProperty};
-    use hem_can::{CanBusConfig, FrameFormat};
-    use hem_event_models::{EventModelExt, ModelRef, StandardEventModel};
+    use crate::spec::SignalSpec;
+    use hem_event_models::{EventModelExt, StandardEventModel};
 
     fn periodic(p: i64) -> ModelRef {
         StandardEventModel::periodic(Time::new(p)).unwrap().shared()
@@ -535,6 +755,20 @@ mod tests {
         }
     }
 
+    /// The directly mutated resources between two specs, as prefixed
+    /// keys (`None` on a structural change).
+    fn diff(old: &SystemSpec, new: &SystemSpec) -> Option<BTreeSet<String>> {
+        let topology = Topology::of(old);
+        let delta = super::diff(&topology, &Fingerprint::of(old), new)?;
+        Some(
+            delta
+                .seeds
+                .iter()
+                .map(|&r| topology.resource_key(r).to_string())
+                .collect(),
+        )
+    }
+
     #[test]
     fn diff_unchanged_clone_is_empty() {
         let spec = two_island_spec();
@@ -594,26 +828,87 @@ mod tests {
     }
 
     #[test]
-    fn same_activation_compares_structurally_and_by_arc() {
+    fn diff_compares_wiring_by_name_and_externals_by_arc() {
         let m = periodic(100);
-        let a = ActivationSpec::AnyOf(vec![
-            ActivationSpec::External(m.clone()),
-            ActivationSpec::TaskOutput("t".into()),
-        ]);
-        let b = ActivationSpec::AnyOf(vec![
-            ActivationSpec::External(m),
-            ActivationSpec::TaskOutput("t".into()),
-        ]);
-        assert!(same_activation(&a, &b));
-        let c = ActivationSpec::AnyOf(vec![
-            ActivationSpec::External(periodic(100)),
-            ActivationSpec::TaskOutput("t".into()),
-        ]);
-        assert!(!same_activation(&a, &c));
-        assert!(!same_activation(
-            &ActivationSpec::TaskOutput("t".into()),
-            &ActivationSpec::FrameArrivals("t".into())
-        ));
+        let composite = |first: ModelRef, join: fn(Vec<ActivationSpec>) -> ActivationSpec| {
+            join(vec![
+                ActivationSpec::External(first),
+                ActivationSpec::TaskOutput("t".into()),
+            ])
+        };
+        let spec = SystemSpec::new()
+            .cpu("c")
+            .cpu("d")
+            .task(task("t", "c", 10, ActivationSpec::External(periodic(50))))
+            .task(task(
+                "u",
+                "d",
+                10,
+                composite(m.clone(), ActivationSpec::AnyOf),
+            ));
+        let delta = |new: &SystemSpec| {
+            let topology = Topology::of(&spec);
+            let delta = super::diff(&topology, &Fingerprint::of(&spec), new).expect("same names");
+            (delta.seeds, delta.rewired)
+        };
+        // The same allocation behind a rebuilt composite is unchanged.
+        let mut same = spec.clone();
+        same.tasks[1].activation = composite(m, ActivationSpec::AnyOf);
+        assert_eq!(delta(&same), (vec![], false));
+        // An equal model in a fresh allocation is a retiming of `d`.
+        let mut retimed = spec.clone();
+        retimed.tasks[1].activation = composite(periodic(100), ActivationSpec::AnyOf);
+        assert_eq!(delta(&retimed), (vec![1], false));
+        // OR → AND, or another producer, is a rewire.
+        let mut rewired = spec.clone();
+        rewired.tasks[1].activation = composite(periodic(100), ActivationSpec::AllOf);
+        assert_eq!(delta(&rewired), (vec![1], true));
+        let mut rewired = spec.clone();
+        rewired.tasks[1].activation = ActivationSpec::TaskOutput("u".into());
+        assert_eq!(delta(&rewired), (vec![1], true));
+    }
+
+    #[test]
+    fn value_edits_reuse_the_topology_and_rewires_derive_a_new_one() {
+        let config = SystemConfig::new(AnalysisMode::Hierarchical);
+        let spec = two_island_spec();
+        let first = analyze_incremental(&spec, &config, None).unwrap();
+        let snapshot = first.snapshot.expect("converged run snapshots");
+
+        // Value-only edits: a WCET and a re-timed external source.
+        let mut retimed = spec.clone();
+        retimed.tasks[0].wcet = Time::new(35);
+        retimed.frames[1].signals[0].source = ActivationSpec::External(periodic(800));
+        let second = analyze_incremental(&retimed, &config, Some(&snapshot)).unwrap();
+        assert!(second.reuse.warm);
+        let second = second.snapshot.expect("converged run snapshots");
+        assert!(Arc::ptr_eq(&snapshot.topology, &second.topology));
+
+        // A rewire: t0 now receives island 1's signal.
+        let mut rewired = retimed.clone();
+        rewired.tasks[0].activation = ActivationSpec::Signal {
+            frame: "F1".into(),
+            signal: "s".into(),
+        };
+        let third = analyze_incremental(&rewired, &config, Some(&second)).unwrap();
+        assert!(third.reuse.warm);
+        assert_eq!(third.reuse.dirty_resources, ["cpu:cpu_a"]);
+        let cold = crate::analyze_robust(&rewired, &config).unwrap();
+        assert_eq!(
+            third.analysis.results.response_times(),
+            cold.results.response_times()
+        );
+        let third = third.snapshot.expect("converged run snapshots");
+        assert!(!Arc::ptr_eq(&second.topology, &third.topology));
+        assert_eq!(*second.topology, *snapshot.topology);
+        assert_ne!(*third.topology, *second.topology);
+
+        // A reused topology still checks a changed wire format.
+        let mut oversized = retimed.clone();
+        oversized.frames[0].payload_bytes = 9;
+        let warm = analyze_incremental(&oversized, &config, Some(&second)).unwrap_err();
+        let cold = crate::analyze_robust(&oversized, &config).unwrap_err();
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
     }
 
     #[test]

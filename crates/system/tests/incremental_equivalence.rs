@@ -146,11 +146,12 @@ fn build_spec(seed: u64, buses: usize, cpus: usize) -> SystemSpec {
 
 /// Applies one random non-structural mutation, cloning the spec so
 /// untouched external models keep their `Arc` allocations (the diff's
-/// unchanged fingerprint).
+/// unchanged fingerprint). A rewire (arm 7) keeps every name and host,
+/// so it warm-starts too, on a freshly derived topology.
 fn mutate(spec: &SystemSpec, rng: &mut Rng) -> SystemSpec {
     let mut out = spec.clone();
     for _ in 0..8 {
-        match rng.pick(7) {
+        match rng.pick(8) {
             0 if !out.tasks.is_empty() => {
                 let i = rng.pick(out.tasks.len() as u64) as usize;
                 let wcet = Time::new(10 + rng.pick(60) as i64);
@@ -214,6 +215,31 @@ fn mutate(spec: &SystemSpec, rng: &mut Rng) -> SystemSpec {
             6 if !out.buses.is_empty() => {
                 let i = rng.pick(out.buses.len() as u64) as usize;
                 out.buses[i].config = CanBusConfig::new(Time::new(1 + rng.pick(2) as i64));
+                return out;
+            }
+            // Rewire without a structural change: retarget a task's
+            // signal activation to a signal of a frame on another bus.
+            7 if !out.tasks.is_empty() => {
+                let i = rng.pick(out.tasks.len() as u64) as usize;
+                let ActivationSpec::Signal { frame, .. } = &out.tasks[i].activation else {
+                    continue;
+                };
+                let bus = &out
+                    .frames
+                    .iter()
+                    .find(|f| f.name == *frame)
+                    .expect("wired")
+                    .bus;
+                let others: Vec<&FrameSpec> = out.frames.iter().filter(|f| f.bus != *bus).collect();
+                if others.is_empty() {
+                    continue;
+                }
+                let target = others[rng.pick(others.len() as u64) as usize];
+                let signal = &target.signals[rng.pick(target.signals.len() as u64) as usize];
+                out.tasks[i].activation = ActivationSpec::Signal {
+                    frame: target.name.clone(),
+                    signal: signal.name.clone(),
+                };
                 return out;
             }
             _ => {}
@@ -493,6 +519,25 @@ fn unchanged_spec_replays_fully() {
         second.snapshot.counters.get("full_fallbacks").copied(),
         Some(0)
     );
+}
+
+/// A rewire to a signal the frame does not carry is caught by the same
+/// validation a cold run does: the warm path reports the identical
+/// error instead of reusing the snapshot's topology.
+#[test]
+fn rewire_to_a_missing_signal_errors_like_a_cold_run() {
+    let spec = build_spec(5, 2, 2);
+    let first = run_warm(&spec, AnalysisMode::Hierarchical, None);
+    let snapshot = first.outcome.snapshot.expect("converged");
+    let mut dangling = spec.clone();
+    dangling.tasks[0].activation = ActivationSpec::Signal {
+        frame: spec.frames[0].name.clone(),
+        signal: "ghost".into(),
+    };
+    let config = SystemConfig::new(AnalysisMode::Hierarchical);
+    let warm = analyze_incremental(&dangling, &config, Some(&snapshot)).expect_err("dangling");
+    let cold = analyze_robust(&dangling, &config).expect_err("dangling");
+    assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
 }
 
 /// A configuration change (different mode) refuses reuse.
