@@ -33,7 +33,8 @@
 //! `req_s` is a throughput over wall time. `obs.overhead_pct` is a
 //! ratio of wall times gated against an **absolute** ceiling
 //! ([`OBS_OVERHEAD_LIMIT_PCT`]) rather than the baseline, so serving
-//! telemetry can never silently grow past its budget; likewise
+//! telemetry can never silently grow past its budget, and its spread
+//! `obs.overhead_iqr_pct` is reported only; likewise
 //! `explore.pruned_pct` is gated against the absolute
 //! [`EXPLORE_PRUNED_FLOOR_PCT`] floor and `explore.configs_per_s` is
 //! throughput over wall time (reported only). Everything else
@@ -116,6 +117,11 @@ fn classify(path: &str) -> Class {
     if path == "explore.configs_per_s" {
         // Candidate throughput is deterministic work over wall time:
         // reported, never compared (the counts pin the work exactly).
+        return Class::Informational;
+    }
+    if path == "obs.overhead_iqr_pct" {
+        // The spread of the overhead pairs: context for the gated
+        // median next to it, never compared.
         return Class::Informational;
     }
     if path == "analytic.hit_rate_pct" || path == "analytic.fig2.speedup" {
@@ -632,6 +638,7 @@ mod tests {
         assert_eq!(classify("serving.compacted_bytes"), Class::Exact);
         assert_eq!(classify("serving.injected_faults"), Class::Exact);
         assert_eq!(classify("obs.overhead_pct"), Class::Bounded);
+        assert_eq!(classify("obs.overhead_iqr_pct"), Class::Informational);
         assert_eq!(classify("obs.spans"), Class::Exact);
         assert_eq!(classify("obs.dump_bytes"), Class::Exact);
         assert_eq!(

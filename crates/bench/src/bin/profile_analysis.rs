@@ -58,16 +58,14 @@ fn run_analysis(mode: AnalysisMode, name: &'static str, params: &PaperParams) ->
     });
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     if name == "hierarchical" {
-        // Show the trajectory the ConvergenceTrace recorded.
+        // Show the run's trajectory as a ConvergenceTrace.
         eprintln!(
             "{name} converged in {} iteration(s):",
             robust.diagnostics.iterations
         );
-        eprint!("{}", robust.diagnostics.trace.render_table());
-        if let Err(e) = std::fs::write(
-            out_path("BENCH_convergence.jsonl"),
-            robust.diagnostics.trace.to_jsonl(),
-        ) {
+        let trace = robust.diagnostics.trace();
+        eprint!("{}", trace.render_table());
+        if let Err(e) = std::fs::write(out_path("BENCH_convergence.jsonl"), trace.to_jsonl()) {
             eprintln!("cannot write BENCH_convergence.jsonl: {e}");
             std::process::exit(1);
         }
@@ -564,8 +562,8 @@ fn main() {
         serving.stale_served
     );
     println!(
-        "obs overhead: {:.2}% vs noop recorder, {} trace spans, {} flight-dump bytes",
-        obs.overhead_pct, obs.spans, obs.dump_bytes
+        "obs overhead: {:.2}% (IQR {:.2}) vs noop recorder, {} trace spans, {} flight-dump bytes",
+        obs.overhead_pct, obs.overhead_iqr_pct, obs.spans, obs.dump_bytes
     );
     println!("wrote BENCH_analysis.json, BENCH_sim_trace.json, BENCH_convergence.jsonl");
 }

@@ -11,8 +11,8 @@
 //! * [`paper_system::simulation`] — a behavioural simulation of the same
 //!   system for validating that all analytic bounds are conservative.
 //!
-//! Binaries in `src/bin/` print the tables and figure series; Criterion
-//! benches in `benches/` measure analysis runtime. Sweeps over many
+//! Binaries in `src/bin/` print the tables and figure series;
+//! `profile_analysis` measures analysis runtime. Sweeps over many
 //! scenarios can fan out over threads with
 //! [`hem_system::parallel::parallel_map`] (order-deterministic;
 //! `HEM_THREADS` selects the width).

@@ -4,15 +4,16 @@
 //! workload through two [`ServerCore`]s — one with the default-on
 //! telemetry (request scopes, latency histograms, gauges, the flight
 //! ring) and one with `observe(false)`, where every record call
-//! reduces to a no-op handle branch. The reported `overhead_pct` is
-//! the **minimum of per-repetition paired ratios**: each repetition
-//! times a noop drive immediately followed by an instrumented drive,
-//! so slow epochs on a busy machine hit both sides of the ratio
-//! alike, and the minimum keeps the cleanest pairing — a floor
-//! estimator, because scheduler noise can only *inflate* a ratio,
-//! while a genuine telemetry regression raises every pair and still
-//! trips the gate. `bench_compare` gates the result against an
-//! absolute 5% bound.
+//! reduces to a no-op handle branch. Each repetition times a noop
+//! drive immediately followed by an instrumented drive, so slow epochs
+//! on a busy machine hit both sides of the pair alike, and contributes
+//! one paired percentage difference. The reported `overhead_pct` is
+//! the **median** of those differences and `overhead_iqr_pct` their
+//! interquartile range ([`paired_overhead`]). Neither is floored: noise
+//! moves the median either way, so a cost that is truly near zero
+//! reads near zero, sometimes below it, and a telemetry regression
+//! shifts the whole distribution up. `bench_compare` gates
+//! `overhead_pct` against an absolute 5% bound and reports the IQR.
 //!
 //! Trace-event *emission* (`--trace-out`) is an opt-in debug flag —
 //! it clones every request's span tree into the recorder and is not
@@ -45,18 +46,18 @@ const ROUNDS: usize = 12;
 /// Every Nth session is analysed after each round.
 const ANALYZE_EVERY: usize = 8;
 /// Wall-clock repetitions. Each runs noop then instrumented
-/// back-to-back and contributes one paired ratio; the minimum over
-/// the repetitions is the reported overhead. The regression gate
-/// holds the result to an absolute 5% ceiling, so the statistic has
-/// to be solid.
+/// back-to-back and contributes one paired difference; the median over
+/// the repetitions is the reported overhead.
 const REPS: usize = 7;
 
 /// What the overhead benchmark measured.
 #[derive(Debug, Clone)]
 pub struct ObsReport {
     /// Relative wall-clock cost of default-on telemetry vs the no-op
-    /// recorder, in percent, floored at zero.
+    /// recorder, in percent: the median of the paired differences.
     pub overhead_pct: f64,
+    /// Interquartile range of the paired differences, in percent.
+    pub overhead_iqr_pct: f64,
     /// Trace slices the traced drive emitted (deterministic).
     pub spans: u64,
     /// Bytes of the flight-recorder dump (deterministic).
@@ -69,8 +70,8 @@ impl ObsReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"overhead_pct\":{:.2},\"spans\":{},\"dump_bytes\":{}}}",
-            self.overhead_pct, self.spans, self.dump_bytes
+            "{{\"overhead_pct\":{:.2},\"overhead_iqr_pct\":{:.2},\"spans\":{},\"dump_bytes\":{}}}",
+            self.overhead_pct, self.overhead_iqr_pct, self.spans, self.dump_bytes
         )
     }
 }
@@ -141,29 +142,45 @@ pub fn run_obs_overhead(base_dir: &Path) -> ObsReport {
     // The deterministic artifacts come from one untimed traced drive.
     let (_, measured) = drive_once(&base_dir.join("obs-trace"), true, true);
     let (spans, dump_bytes) = measured.expect("traced run reports artifacts");
-    // The gated ratio times the default-on configuration: observed,
-    // but no trace export. One paired ratio per repetition — the two
-    // drives run back-to-back so ambient slowness cancels out of the
-    // quotient — then the cleanest (minimum) pairing across
-    // repetitions.
-    let mut best_ratio = f64::INFINITY;
-    for rep in 0..REPS {
-        let (noop_ms, _) = drive_once(&base_dir.join(format!("obs-noop-{rep}")), false, false);
-        let (obs_ms, _) = drive_once(&base_dir.join(format!("obs-full-{rep}")), true, false);
-        if noop_ms > 0.0 {
-            best_ratio = best_ratio.min(obs_ms / noop_ms);
-        }
-    }
-    let overhead_pct = if best_ratio.is_finite() {
-        ((best_ratio - 1.0) * 100.0).max(0.0)
-    } else {
-        0.0
-    };
+    // The timed pairs drive the default-on configuration: observed,
+    // but no trace export.
+    let pairs: Vec<(f64, f64)> = (0..REPS)
+        .map(|rep| {
+            let (noop_ms, _) = drive_once(&base_dir.join(format!("obs-noop-{rep}")), false, false);
+            let (obs_ms, _) = drive_once(&base_dir.join(format!("obs-full-{rep}")), true, false);
+            (noop_ms, obs_ms)
+        })
+        .collect();
+    let (overhead_pct, overhead_iqr_pct) = paired_overhead(&pairs);
     ObsReport {
         overhead_pct,
+        overhead_iqr_pct,
         spans,
         dump_bytes,
     }
+}
+
+/// The median and interquartile range of the paired percentage
+/// differences `100 · (obs − noop) / noop` over `(noop_ms, obs_ms)`
+/// pairs, quartiles linearly interpolated. Pairs with a non-positive
+/// noop time are skipped; no usable pair gives `(0.0, 0.0)`.
+#[must_use]
+pub fn paired_overhead(pairs: &[(f64, f64)]) -> (f64, f64) {
+    let mut diffs: Vec<f64> = pairs
+        .iter()
+        .filter(|(noop, _)| *noop > 0.0)
+        .map(|(noop, obs)| 100.0 * (obs - noop) / noop)
+        .collect();
+    if diffs.is_empty() {
+        return (0.0, 0.0);
+    }
+    diffs.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let at = q * (diffs.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        diffs[lo] + (diffs[hi] - diffs[lo]) * (at - lo as f64)
+    };
+    (quantile(0.5), quantile(0.75) - quantile(0.25))
 }
 
 #[cfg(test)]
@@ -173,7 +190,8 @@ mod tests {
     #[test]
     fn report_json_is_valid_and_deterministic_fields_are_exact() {
         let report = ObsReport {
-            overhead_pct: 1.25,
+            overhead_pct: -0.5,
+            overhead_iqr_pct: 1.25,
             spans: 420,
             dump_bytes: 8192,
         };
@@ -181,7 +199,29 @@ mod tests {
         hem_obs::json::validate(&json).expect("obs section is valid JSON");
         assert_eq!(
             json,
-            "{\"overhead_pct\":1.25,\"spans\":420,\"dump_bytes\":8192}"
+            "{\"overhead_pct\":-0.50,\"overhead_iqr_pct\":1.25,\"spans\":420,\"dump_bytes\":8192}"
         );
+    }
+
+    #[test]
+    fn constant_pairs_give_their_difference() {
+        let pairs: Vec<(f64, f64)> = (1..=7)
+            .map(|k| (100.0 * f64::from(k), 103.0 * f64::from(k)))
+            .collect();
+        let (median, iqr) = paired_overhead(&pairs);
+        assert!((median - 3.0).abs() < 1e-9, "{median}");
+        assert!(iqr.abs() < 1e-9, "{iqr}");
+    }
+
+    #[test]
+    fn symmetric_noise_can_read_negative() {
+        // Differences −3, −2, −1, −0.5, +1, +2, +3 %: no floor at zero.
+        let pairs = [-3.0, 2.0, -1.0, 3.0, -0.5, 1.0, -2.0].map(|d| (100.0, 100.0 + d));
+        let (median, iqr) = paired_overhead(&pairs);
+        assert!((median + 0.5).abs() < 1e-9, "{median}");
+        // Quartiles at ranks 1.5 and 4.5: −1.5 and +1.5.
+        assert!((iqr - 3.0).abs() < 1e-9, "{iqr}");
+        assert_eq!(paired_overhead(&[]), (0.0, 0.0));
+        assert_eq!(paired_overhead(&[(0.0, 5.0)]), (0.0, 0.0));
     }
 }

@@ -64,7 +64,7 @@ const PLUS_VALUE_CAP: i64 = convert::DT_HORIZON;
 ///
 /// Obtain one via [`EventModel::analytic`]; it is `Some` exactly for the
 /// model families with a closed-form lift (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AnalyticCurve {
     /// `dmin[i]` is `δ⁻(i + 2)`.
     dmin: Box<[Time]>,

@@ -41,11 +41,12 @@ pub struct IterationSnapshot {
 
 /// The full per-iteration trajectory of a global analysis run.
 ///
-/// Where `Diagnostics` alone only keeps the last two response-time
-/// vectors, the trace keeps all of them, so a diverging run shows *how*
-/// an entity grew (linearly? with accelerating increments?) and a slow
-/// converging run shows which entity kept the loop alive. Snapshots are
-/// a few dozen integers per iteration, so recording is always on.
+/// Where `Diagnostics`' response-time vectors cover the last two
+/// iterations, the trace covers all of them, so a diverging run shows
+/// *how* an entity grew (linearly? with accelerating increments?) and a
+/// slow converging run shows which entity kept the loop alive. It is an
+/// export type: the engine stores each run's trajectory by position,
+/// and `Diagnostics::trace()` builds this name-keyed view of it on call.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ConvergenceTrace {
     iterations: Vec<IterationSnapshot>,

@@ -11,10 +11,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 use hem_analysis::{AnalysisError, ResponseTime};
-use hem_obs::ConvergenceTrace;
+use hem_obs::{ConvergenceTrace, IterationSnapshot, RtBound};
+
+use crate::engine::IterationResults;
+use crate::graph::Topology;
 
 /// Per-entity convergence status after a (possibly aborted) analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +86,11 @@ pub enum StopReason {
 /// converged or not. Response-time vectors use prefixed keys
 /// (`task:<name>` / `frame:<name>`) so tasks and frames sharing a name
 /// cannot collide.
+///
+/// The run's per-iteration results are stored once, by spec position,
+/// and shared with the warm-start snapshot of a converged
+/// [`analyze_incremental`](crate::analyze_incremental) run: the trace
+/// and both response-time vectors are views over them, built on call.
 #[derive(Debug, Clone)]
 pub struct Diagnostics {
     /// Why the run stopped.
@@ -90,24 +99,73 @@ pub struct Diagnostics {
     pub iterations: u64,
     /// Wall-clock time the run took, converged or not.
     pub elapsed: Duration,
-    /// Per-iteration response-time snapshots of the whole run — the
-    /// full trajectory towards (or away from) the fixed point, keyed
-    /// like [`Diagnostics::last_response_times`].
-    pub trace: ConvergenceTrace,
     /// Entities flagged [`ConvergenceStatus::Growing`], longest streak
     /// first.
     pub diverging: Vec<String>,
-    /// Response times of the last completed global iteration.
-    pub last_response_times: BTreeMap<String, ResponseTime>,
-    /// Response times of the iteration before that (empty if fewer than
-    /// two iterations completed).
-    pub previous_response_times: BTreeMap<String, ResponseTime>,
     /// The resource (`cpu:<name>` / `bus:<name>`) hosting the first
     /// diverging or failed entity — a heuristic pointer, not a proof.
     pub suspected_bottleneck: Option<String>,
+    /// The results of every completed global iteration.
+    pub(crate) trajectory: Arc<[IterationResults]>,
+    pub(crate) topology: Arc<Topology>,
 }
 
 impl Diagnostics {
+    /// Per-iteration response-time snapshots of the whole run — the
+    /// full trajectory towards (or away from) the fixed point, keyed
+    /// like [`Diagnostics::last_response_times`].
+    #[must_use]
+    pub fn trace(&self) -> ConvergenceTrace {
+        let mut trace = ConvergenceTrace::new();
+        for (iteration, results) in (1..).zip(self.trajectory.iter()) {
+            let response_times = self.entries(results).map(|(key, rt)| {
+                let bound = RtBound::new(rt.r_minus.ticks(), rt.r_plus.ticks());
+                (key.to_string(), bound)
+            });
+            trace.push(IterationSnapshot {
+                iteration,
+                response_times: response_times.collect(),
+            });
+        }
+        trace
+    }
+
+    /// Response times of the last completed global iteration.
+    #[must_use]
+    pub fn last_response_times(&self) -> BTreeMap<String, ResponseTime> {
+        self.response_times(1)
+    }
+
+    /// Response times of the iteration before that (empty if fewer than
+    /// two iterations completed).
+    #[must_use]
+    pub fn previous_response_times(&self) -> BTreeMap<String, ResponseTime> {
+        self.response_times(2)
+    }
+
+    /// The completed iteration `back` steps from the end (1 = the last).
+    fn back(&self, back: usize) -> Option<&IterationResults> {
+        let n = self.trajectory.len().checked_sub(back)?;
+        self.trajectory.get(n)
+    }
+
+    fn response_times(&self, back: usize) -> BTreeMap<String, ResponseTime> {
+        let entries = self.back(back).into_iter().flat_map(|r| self.entries(r));
+        entries.map(|(key, rt)| (key.to_string(), rt)).collect()
+    }
+
+    /// Every entity's prefixed key and response time in `results`, in
+    /// key order.
+    fn entries<'a>(
+        &'a self,
+        results: &'a IterationResults,
+    ) -> impl Iterator<Item = (&'a str, ResponseTime)> + 'a {
+        let topology = &self.topology;
+        let keys = (0..topology.entities.len()).map(|k| topology.entity_keys.get(k));
+        keys.zip(topology.by_entity(&results.frames, &results.tasks))
+            .map(|(key, record)| (key, record.response))
+    }
+
     /// Whether the run converged.
     #[must_use]
     pub fn converged(&self) -> bool {
@@ -183,13 +241,15 @@ impl Diagnostics {
         if !self.diverging.is_empty() {
             let _ = writeln!(out, "diverging entities: {}", self.diverging.join(", "));
         }
-        for (key, last) in &self.last_response_times {
-            match self.previous_response_times.get(key) {
-                Some(prev) if prev != last => {
-                    let _ = writeln!(out, "  {key:<24} {prev} -> {last}");
+        let last = self.back(1).into_iter().flat_map(|r| self.entries(r));
+        let mut previous = self.back(2).map(|r| self.entries(r));
+        for (key, rt) in last {
+            match previous.as_mut().and_then(Iterator::next) {
+                Some((_, prev)) if prev != rt => {
+                    let _ = writeln!(out, "  {key:<24} {prev} -> {rt}");
                 }
                 _ => {
-                    let _ = writeln!(out, "  {key:<24} {last}");
+                    let _ = writeln!(out, "  {key:<24} {rt}");
                 }
             }
         }
@@ -206,27 +266,57 @@ impl fmt::Display for Diagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Record;
+    use crate::spec::{ActivationSpec, SystemSpec, TaskSpec};
+    use hem_event_models::{EventModelExt, StandardEventModel};
     use hem_time::Time;
 
-    fn rt(lo: i64, hi: i64) -> ResponseTime {
-        ResponseTime::new(Time::new(lo), Time::new(hi))
+    /// Diagnostics of a run over one task `gateway` on `ecu1`, whose
+    /// completed iterations computed `[10, upper]` each.
+    fn diagnostics(stop: StopReason, iterations: u64, upper: &[i64]) -> Diagnostics {
+        let spec = SystemSpec::new().cpu("ecu1").task(TaskSpec {
+            name: "gateway".into(),
+            cpu: "ecu1".into(),
+            bcet: Time::new(10),
+            wcet: Time::new(10),
+            priority: hem_analysis::Priority::new(1),
+            activation: ActivationSpec::External(
+                StandardEventModel::periodic(Time::new(100))
+                    .expect("valid")
+                    .shared(),
+            ),
+        });
+        let trajectory = upper
+            .iter()
+            .map(|&hi| IterationResults {
+                frames: Vec::new(),
+                tasks: vec![Record {
+                    response: ResponseTime::new(Time::new(10), Time::new(hi)),
+                    busy_activations: 1,
+                }],
+            })
+            .collect();
+        Diagnostics {
+            stop,
+            iterations,
+            elapsed: Duration::ZERO,
+            diverging: Vec::new(),
+            suspected_bottleneck: None,
+            trajectory,
+            topology: Arc::new(Topology::of(&spec)),
+        }
     }
 
     #[test]
     fn summary_names_diverging_entity_and_vectors() {
-        let d = Diagnostics {
-            stop: StopReason::DivergenceDetected {
-                entity: "task:gateway".into(),
-                streak: 12,
-            },
-            iterations: 17,
-            elapsed: Duration::from_millis(5),
-            trace: ConvergenceTrace::default(),
-            diverging: vec!["task:gateway".into()],
-            last_response_times: BTreeMap::from([("task:gateway".into(), rt(10, 900))]),
-            previous_response_times: BTreeMap::from([("task:gateway".into(), rt(10, 700))]),
-            suspected_bottleneck: Some("cpu:ecu1".into()),
+        let stop = StopReason::DivergenceDetected {
+            entity: "task:gateway".into(),
+            streak: 12,
         };
+        let mut d = diagnostics(stop, 17, &[500, 700, 900]);
+        d.elapsed = Duration::from_millis(5);
+        d.diverging = vec!["task:gateway".into()];
+        d.suspected_bottleneck = Some("cpu:ecu1".into());
         let s = d.summary();
         assert!(s.contains("task:gateway"), "{s}");
         assert!(s.contains("cpu:ecu1"), "{s}");
@@ -236,36 +326,45 @@ mod tests {
     }
 
     #[test]
+    fn views_materialize_from_the_trajectory() {
+        let d = diagnostics(StopReason::IterationLimitReached, 2, &[700, 900]);
+        let rt = |hi| ResponseTime::new(Time::new(10), Time::new(hi));
+        let key = "task:gateway".to_string();
+        assert_eq!(
+            d.last_response_times(),
+            BTreeMap::from([(key.clone(), rt(900))])
+        );
+        assert_eq!(
+            d.previous_response_times(),
+            BTreeMap::from([(key, rt(700))])
+        );
+        let trace = d.trace();
+        assert_eq!(trace.len(), 2);
+        assert_eq!(trace.series("task:gateway")[1], Some(RtBound::new(10, 900)));
+
+        let once = diagnostics(StopReason::IterationLimitReached, 1, &[700]);
+        assert_eq!(once.last_response_times().len(), 1);
+        assert!(once.previous_response_times().is_empty());
+        let s = once.summary();
+        assert!(s.contains("[10, 700]") && !s.contains("->"), "{s}");
+    }
+
+    #[test]
     fn budget_exhaustion_detected_through_local_error() {
-        let d = Diagnostics {
-            stop: StopReason::LocalAnalysisFailed {
-                entity: "task:t".into(),
-                error: AnalysisError::budget_exhausted("t"),
-            },
-            iterations: 3,
-            elapsed: Duration::ZERO,
-            trace: ConvergenceTrace::default(),
-            diverging: vec![],
-            last_response_times: BTreeMap::new(),
-            previous_response_times: BTreeMap::new(),
-            suspected_bottleneck: None,
+        let stop = StopReason::LocalAnalysisFailed {
+            entity: "task:t".into(),
+            error: AnalysisError::budget_exhausted("t"),
         };
+        let d = diagnostics(stop, 0, &[]);
         assert!(d.budget_exhausted());
         assert_eq!(d.prime_suspect(), Some("task:t"));
+        assert!(d.trace().is_empty());
+        assert!(d.last_response_times().is_empty());
     }
 
     #[test]
     fn converged_diagnostics() {
-        let d = Diagnostics {
-            stop: StopReason::Converged,
-            iterations: 4,
-            elapsed: Duration::ZERO,
-            trace: ConvergenceTrace::default(),
-            diverging: vec![],
-            last_response_times: BTreeMap::new(),
-            previous_response_times: BTreeMap::new(),
-            suspected_bottleneck: None,
-        };
+        let d = diagnostics(StopReason::Converged, 4, &[]);
         assert!(d.converged());
         assert!(!d.budget_exhausted());
         assert_eq!(d.prime_suspect(), None);

@@ -6,7 +6,7 @@
 //! are then propagated to connected components for the next iteration,
 //! until the response times stop changing.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -16,7 +16,7 @@ use hem_can::{BusFrame, CanFrameConfig};
 use hem_core::HierarchicalEventModel;
 use hem_event_models::ops::OutputModel;
 use hem_event_models::{approx, AnalyticCurve, CachedModel, EventModelExt, ModelRef};
-use hem_obs::{ConvergenceTrace, Counter, IterationSnapshot, RtBound};
+use hem_obs::Counter;
 use hem_time::Time;
 
 use crate::diagnostics::{ConvergenceStatus, Diagnostics, StopReason};
@@ -48,24 +48,26 @@ use crate::SystemError;
 /// For a non-erroring API that keeps the partial results and explains
 /// *what* diverged, use [`analyze_robust`].
 pub fn analyze(spec: &SystemSpec, config: &SystemConfig) -> Result<SystemResults, SystemError> {
-    match run(spec, config)? {
-        RunOutcome::Converged { results, .. } => Ok(results),
-        RunOutcome::Stopped { diagnostics, .. } => Err(match diagnostics.stop {
-            StopReason::LocalAnalysisFailed { entity, error } => {
-                if error.is_budget_exhausted() {
-                    SystemError::BudgetExhausted {
-                        entity: Some(entity),
-                    }
-                } else {
-                    SystemError::Analysis(error)
+    let RobustAnalysis {
+        results,
+        diagnostics,
+    } = analyze_robust(spec, config)?;
+    Err(match diagnostics.stop {
+        StopReason::Converged => return Ok(results),
+        StopReason::LocalAnalysisFailed { entity, error } => {
+            if error.is_budget_exhausted() {
+                SystemError::BudgetExhausted {
+                    entity: Some(entity),
                 }
+            } else {
+                SystemError::Analysis(error)
             }
-            StopReason::BudgetExhausted => SystemError::BudgetExhausted { entity: None },
-            _ => SystemError::NoGlobalConvergence {
-                iterations: diagnostics.iterations,
-            },
-        }),
-    }
+        }
+        StopReason::BudgetExhausted => SystemError::BudgetExhausted { entity: None },
+        _ => SystemError::NoGlobalConvergence {
+            iterations: diagnostics.iterations,
+        },
+    })
 }
 
 /// The outcome of [`analyze_robust`]: results (partial if the analysis
@@ -98,33 +100,9 @@ pub fn analyze_robust(
     spec: &SystemSpec,
     config: &SystemConfig,
 ) -> Result<RobustAnalysis, SystemError> {
-    match run(spec, config)? {
-        RunOutcome::Converged {
-            results,
-            diagnostics,
-        } => Ok(RobustAnalysis {
-            diagnostics,
-            results,
-        }),
-        RunOutcome::Stopped {
-            partial,
-            diagnostics,
-        } => Ok(RobustAnalysis {
-            results: partial,
-            diagnostics,
-        }),
-    }
-}
-
-pub(crate) enum RunOutcome {
-    Converged {
-        results: SystemResults,
-        diagnostics: Diagnostics,
-    },
-    Stopped {
-        partial: SystemResults,
-        diagnostics: Diagnostics,
-    },
+    validate(spec)?;
+    let topology = Arc::new(Topology::of(spec));
+    run_with(spec, config, &topology, None, false).map(|(analysis, _, _)| analysis)
 }
 
 /// A resolved activation or outer stream, typed by how a warm start may
@@ -158,7 +136,7 @@ impl Resolved {
 #[derive(Debug)]
 pub(crate) struct Resolution {
     /// Activation model of `spec.tasks[i]`.
-    tasks: Vec<Option<Resolved>>,
+    pub(crate) tasks: Vec<Option<Resolved>>,
     /// Packed HEM of `spec.frames[j]`.
     packed: Vec<Option<Arc<HierarchicalEventModel>>>,
     /// Analysis outer stream of `spec.frames[j]`.
@@ -176,49 +154,14 @@ impl Resolution {
             processed: vec![None; spec.frames.len()],
         }
     }
-
-    /// Swaps every lifted curve that is value-equal to `prev`'s curve
-    /// in the same slot for `prev`'s allocation, so a snapshot holds
-    /// one copy of a curve that stays put across iterations.
-    fn share_equal_curves(&mut self, prev: &Resolution) {
-        let slots = self.tasks.iter_mut().zip(&prev.tasks);
-        for (slot, prev) in slots.chain(self.outer.iter_mut().zip(&prev.outer)) {
-            if let (Some(Resolved::Lifted(curve)), Some(Resolved::Lifted(old))) = (&*slot, prev) {
-                if !Arc::ptr_eq(curve, old) && **curve == **old {
-                    *slot = Some(Resolved::Lifted(old.clone()));
-                }
-            }
-        }
-    }
-
-    /// The models a stopped run salvages: every resolved task
-    /// activation and frame input, keyed by name.
-    fn salvage(
-        &self,
-        spec: &SystemSpec,
-    ) -> (BTreeMap<String, ModelRef>, BTreeMap<String, ModelRef>) {
-        fn named<'s>(
-            names: impl Iterator<Item = &'s String>,
-            slots: &[Option<Resolved>],
-        ) -> BTreeMap<String, ModelRef> {
-            names
-                .zip(slots)
-                .filter_map(|(name, slot)| slot.as_ref().map(|r| (name.clone(), r.model())))
-                .collect()
-        }
-        (
-            named(spec.tasks.iter().map(|t| &t.name), &self.tasks),
-            named(spec.frames.iter().map(|f| &f.name), &self.outer),
-        )
-    }
 }
 
 /// One entity's busy-window outcome without its name: what a global
 /// iteration records per spec position, and what a warm start replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Record {
-    response: ResponseTime,
-    busy_activations: u64,
+    pub(crate) response: ResponseTime,
+    pub(crate) busy_activations: u64,
 }
 
 impl Record {
@@ -228,19 +171,11 @@ impl Record {
             busy_activations: result.busy_activations,
         }
     }
-
-    fn named(self, name: &str) -> TaskResult {
-        TaskResult {
-            name: name.to_string(),
-            response: self.response,
-            busy_activations: self.busy_activations,
-        }
-    }
 }
 
 /// The results of one completed global iteration, by spec position. A
 /// completed iteration analyses every frame and every task.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub(crate) struct IterationResults {
     /// Result of `spec.frames[j]`.
     pub(crate) frames: Vec<Record>,
@@ -265,68 +200,18 @@ impl IterationResults {
         same(&self.frames, &other.frames) && same(&self.tasks, &other.tasks)
     }
 
-    /// Per-task and per-frame results keyed by name, as
-    /// [`SystemResults`] holds them.
-    fn named(
-        &self,
-        spec: &SystemSpec,
-        topology: &Topology,
-    ) -> (BTreeMap<String, TaskResult>, BTreeMap<String, TaskResult>) {
-        let tasks = topology
-            .sorted_tasks()
-            .map(|i| {
-                let name = &spec.tasks[i].name;
-                (name.clone(), self.tasks[i].named(name))
-            })
-            .collect();
-        let frames = topology
-            .sorted_frames()
-            .map(|j| {
-                let name = &spec.frames[j].name;
-                (name.clone(), self.frames[j].named(name))
-            })
-            .collect();
-        (tasks, frames)
-    }
-
-    /// Every response time keyed by prefixed entity.
-    fn response_times(&self, topology: &Topology) -> BTreeMap<String, ResponseTime> {
-        topology
-            .entities
-            .iter()
+    /// Every entity's result, named, in entity order.
+    fn task_results(&self, topology: &Topology) -> Vec<TaskResult> {
+        let records = topology.by_entity(&self.frames, &self.tasks);
+        records
             .enumerate()
-            .map(|(k, &e)| (topology.entity_keys.get(k).to_string(), self.response(e)))
+            .map(|(k, r)| TaskResult {
+                name: topology.entity_name(k).to_string(),
+                response: r.response,
+                busy_activations: r.busy_activations,
+            })
             .collect()
     }
-
-    /// The [`ConvergenceTrace`] snapshot of this iteration.
-    fn snapshot(&self, iteration: u64, topology: &Topology) -> IterationSnapshot {
-        IterationSnapshot {
-            iteration,
-            response_times: topology
-                .entities
-                .iter()
-                .enumerate()
-                .map(|(k, &e)| {
-                    let rt = self.response(e);
-                    (
-                        topology.entity_keys.get(k).to_string(),
-                        RtBound::new(rt.r_minus.ticks(), rt.r_plus.ticks()),
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Everything a converged run must record to seed a future warm start:
-/// the per-iteration result trajectory and resolved models. Assembled
-/// into a [`WarmStart`](crate::warm::WarmStart) by [`crate::warm`].
-pub(crate) struct Capture {
-    /// The results of each completed global iteration.
-    pub(crate) trajectory: Vec<IterationResults>,
-    /// The resolved models of each completed global iteration.
-    pub(crate) resolutions: Vec<Resolution>,
 }
 
 /// The warm-start plan handed to the engine: which resources are
@@ -400,19 +285,6 @@ impl Track {
             ConvergenceStatus::Converged
         }
     }
-}
-
-/// The resource hosting a prefixed entity (`task:x` → `cpu:…`,
-/// `frame:x` → `bus:…`).
-fn hosting_resource(topology: &Topology, entity: &str) -> Option<String> {
-    let entity = if let Some(task) = entity.strip_prefix("task:") {
-        Entity::Task(topology.tasks.position(task)?)
-    } else {
-        Entity::Frame(topology.frames.position(entity.strip_prefix("frame:")?)?)
-    };
-    topology
-        .host(entity)
-        .map(|r| topology.resource_key(r).to_string())
 }
 
 /// What one global iteration accumulates: per-frame and per-task
@@ -490,16 +362,16 @@ fn run_iteration(
         if topology.frame_bus[j].is_some_and(|b| topology.cyclic_buses.contains(&b)) {
             let record = resolver
                 .frame_result(j)
-                .map_err(|e| IterationError::classify(e, "frame"))?;
+                .map_err(|e| IterationError::classify(e, topology, "frame:"))?;
             acc.frames[j] = Some(record);
         }
     }
     for &c in &topology.cyclic_cpus {
         let tasks = resolver
             .lower_cpu(c)
-            .map_err(|e| IterationError::classify(e, "task"))?;
+            .map_err(|e| IterationError::classify(e, topology, "task:"))?;
         let results = spp::analyze(&tasks, &config.local)
-            .map_err(|e| IterationError::classify(SystemError::Analysis(e), "task"))?;
+            .map_err(|e| IterationError::classify(SystemError::Analysis(e), topology, "task:"))?;
         for (&i, result) in topology.cpu_tasks[c].iter().zip(&results) {
             acc.tasks[i] = Some(Record::of(result));
         }
@@ -531,7 +403,7 @@ fn run_level(
         } else {
             let tasks = resolver
                 .lower_bus(b)
-                .map_err(|e| IterationError::classify(e, "frame"))?;
+                .map_err(|e| IterationError::classify(e, topology, "frame:"))?;
             Some(tasks)
         };
         bus_sets.push((b, tasks));
@@ -543,7 +415,7 @@ fn run_level(
         } else {
             let tasks = resolver
                 .lower_cpu(c)
-                .map_err(|e| IterationError::classify(e, "task"))?;
+                .map_err(|e| IterationError::classify(e, topology, "task:"))?;
             Some(tasks)
         };
         cpu_sets.push((c, tasks));
@@ -555,9 +427,13 @@ fn run_level(
     // even after a failure, so the recorder sees the whole level; the
     // lowest-index failure is the one reported.
     let mut first_err: Option<IterationError> = None;
-    let mut record_err = |e: AnalysisError, kind: &'static str| {
+    let mut record_err = |e: AnalysisError, prefix: &'static str| {
         if first_err.is_none() {
-            first_err = Some(IterationError::classify(SystemError::Analysis(e), kind));
+            first_err = Some(IterationError::classify(
+                SystemError::Analysis(e),
+                topology,
+                prefix,
+            ));
         }
     };
     let replay = || {
@@ -575,7 +451,7 @@ fn run_level(
             };
             match spnp::analyze_one(tasks, k, &config.local) {
                 Ok(result) => staged_frames.push((j, Record::of(&result))),
-                Err(e) => record_err(e, "frame"),
+                Err(e) => record_err(e, "frame:"),
             }
         }
     }
@@ -589,7 +465,7 @@ fn run_level(
             };
             match spp::analyze_one(tasks, k, &config.local) {
                 Ok(result) => staged_tasks.push((i, Record::of(&result))),
-                Err(e) => record_err(e, "task"),
+                Err(e) => record_err(e, "task:"),
             }
         }
     }
@@ -612,11 +488,9 @@ fn run_level(
 
 enum IterationError {
     /// A local busy-window analysis aborted (divergence or budget): the
-    /// run can degrade gracefully.
-    Local {
-        entity: String,
-        error: AnalysisError,
-    },
+    /// run can degrade gracefully. `entity` is the failed entity's
+    /// position in `topology.entities`.
+    Local { entity: usize, error: AnalysisError },
     /// The wall-clock budget expired between levels of an iteration
     /// (warm-start replays included): degrade gracefully with the last
     /// completed iteration's results.
@@ -626,7 +500,9 @@ enum IterationError {
 }
 
 impl IterationError {
-    fn classify(e: SystemError, kind: &str) -> Self {
+    /// Classifies an error of a `prefix` entity (`"task:"` /
+    /// `"frame:"`).
+    fn classify(e: SystemError, topology: &Topology, prefix: &str) -> Self {
         match e {
             SystemError::Analysis(
                 error @ (AnalysisError::NoConvergence { .. }
@@ -634,128 +510,106 @@ impl IterationError {
             ) => {
                 let name = match &error {
                     AnalysisError::NoConvergence { task, .. }
-                    | AnalysisError::BudgetExhausted { task } => task.clone(),
+                    | AnalysisError::BudgetExhausted { task } => task,
                     AnalysisError::InvalidTaskSet(_) => unreachable!(),
                 };
-                IterationError::Local {
-                    entity: format!("{kind}:{name}"),
-                    error,
-                }
+                let entity = topology
+                    .find_entity(prefix, name)
+                    .expect("a local analysis is named after its entity");
+                IterationError::Local { entity, error }
             }
             other => IterationError::Hard(other),
         }
     }
 }
 
-fn run(spec: &SystemSpec, config: &SystemConfig) -> Result<RunOutcome, SystemError> {
-    validate(spec)?;
-    let topology = Topology::of(spec);
-    run_with(spec, config, &topology, None, false).map(|(outcome, _, _)| outcome)
-}
-
-/// The state a stopped run salvages: the last two completed
-/// iterations' results, the growth tracks, and the last completed
-/// iteration's resolved models.
+/// The state a stopped run salvages: the completed iterations' results,
+/// the growth tracks, the last completed iteration's resolved models,
+/// and the entity that stopped the run.
 struct Salvage<'s> {
-    completed: u64,
-    trace: ConvergenceTrace,
+    trajectory: Vec<IterationResults>,
     tracks: &'s [Track],
-    last: Option<IterationResults>,
-    previous: Option<IterationResults>,
     resolution: Option<&'s Resolution>,
+    /// The failed entity of a local abort, or the entity that tripped
+    /// the divergence heuristic, by position in `topology.entities`.
+    culprit: Option<usize>,
 }
 
 /// Builds the outcome of a run that stopped short of a fixed point.
 fn stopped(
-    spec: &SystemSpec,
     config: &SystemConfig,
-    topology: &Topology,
+    topology: &Arc<Topology>,
     started: Instant,
     stop: StopReason,
     salvage: Salvage<'_>,
-) -> RunOutcome {
+) -> RobustAnalysis {
     let Salvage {
-        completed,
-        trace,
+        trajectory,
         tracks,
-        last,
-        previous,
         resolution,
+        culprit,
     } = salvage;
-    let failed_entity = match &stop {
-        StopReason::LocalAnalysisFailed { entity, .. } => Some(entity.as_str()),
+    let failed = match stop {
+        StopReason::LocalAnalysisFailed { .. } => culprit,
         _ => None,
     };
-    // Statuses by position in `topology.entities`.
-    let status = |k: usize| {
-        if failed_entity == Some(topology.entity_keys.get(k)) {
-            ConvergenceStatus::Failed
-        } else if let Some(track) = tracks.get(k) {
-            track.status(config.divergence_streak)
-        } else if last.is_some() {
-            ConvergenceStatus::Unsettled
-        } else {
-            ConvergenceStatus::Unknown
-        }
-    };
-    let mut task_convergence = BTreeMap::new();
-    let mut frame_convergence = BTreeMap::new();
-    for (k, &entity) in topology.entities.iter().enumerate() {
-        match entity {
-            Entity::Task(i) => task_convergence.insert(spec.tasks[i].name.clone(), status(k)),
-            Entity::Frame(j) => frame_convergence.insert(spec.frames[j].name.clone(), status(k)),
-        };
-    }
-    let mut diverging: Vec<(u64, &str)> = tracks
+    let statuses = (0..topology.entities.len())
+        .map(|k| {
+            if failed == Some(k) {
+                ConvergenceStatus::Failed
+            } else if let Some(track) = tracks.get(k) {
+                track.status(config.divergence_streak)
+            } else if trajectory.is_empty() {
+                ConvergenceStatus::Unknown
+            } else {
+                ConvergenceStatus::Unsettled
+            }
+        })
+        .collect();
+    // Longest streak first, then in key order.
+    let mut diverging: Vec<(u64, usize)> = tracks
         .iter()
         .enumerate()
         .filter(|(_, t)| config.divergence_streak > 0 && t.streak >= config.divergence_streak)
-        .map(|(k, t)| (t.streak, topology.entity_keys.get(k)))
+        .map(|(k, t)| (t.streak, k))
         .collect();
-    diverging.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
-    let diverging: Vec<String> = diverging.into_iter().map(|(_, k)| k.to_string()).collect();
-    let suspect = failed_entity
-        .map(String::from)
-        .or_else(|| match &stop {
-            StopReason::DivergenceDetected { entity, .. } => Some(entity.clone()),
-            _ => None,
-        })
-        .or_else(|| diverging.first().cloned());
-    let suspected_bottleneck = suspect.and_then(|e| hosting_resource(topology, &e));
-    let (task_activations, frame_inputs) = resolution.map(|r| r.salvage(spec)).unwrap_or_default();
-    let (task_results, frame_results) = last
-        .as_ref()
-        .map(|l| l.named(spec, topology))
-        .unwrap_or_default();
-    let response_times = |results: &Option<IterationResults>| {
-        results
-            .as_ref()
-            .map(|r| r.response_times(topology))
-            .unwrap_or_default()
-    };
-    RunOutcome::Stopped {
-        partial: SystemResults {
+    diverging.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    let suspected_bottleneck = culprit
+        .or_else(|| diverging.first().map(|&(_, k)| k))
+        .and_then(|k| topology.host(topology.entities[k]))
+        .map(|r| topology.resource_key(r).to_string());
+    let inputs = resolution.map_or_else(Vec::new, |r| {
+        topology
+            .by_entity(&r.outer, &r.tasks)
+            .map(|slot| slot.as_ref().map(Resolved::model))
+            .collect()
+    });
+    let results = trajectory
+        .last()
+        .map_or_else(Vec::new, |last| last.task_results(topology));
+    RobustAnalysis {
+        results: SystemResults {
             mode: config.mode,
-            iterations: completed,
+            iterations: trajectory.len() as u64,
             complete: false,
-            task_results,
-            frame_results,
-            task_convergence,
-            frame_convergence,
-            task_activations,
-            frame_inputs,
-            frame_outputs: BTreeMap::new(),
-            unpacked_signals: BTreeMap::new(),
+            topology: Arc::clone(topology),
+            results,
+            statuses,
+            inputs,
+            outputs: Vec::new(),
+            unpacked: Vec::new(),
         },
         diagnostics: Diagnostics {
             stop,
-            iterations: completed,
+            iterations: trajectory.len() as u64,
             elapsed: started.elapsed(),
-            trace,
-            diverging,
-            last_response_times: response_times(&last),
-            previous_response_times: response_times(&previous),
+            diverging: diverging
+                .into_iter()
+                .map(|(_, k)| topology.entity_keys.get(k).to_string())
+                .collect(),
             suspected_bottleneck,
+            trajectory: trajectory.into(),
+            topology: Arc::clone(topology),
         },
     }
 }
@@ -764,54 +618,50 @@ fn stopped(
 /// optionally replaying a warm-start plan and/or capturing the run's
 /// trajectory for a future warm start.
 ///
-/// Per-iteration state is kept by spec position; the name-keyed outputs
-/// (results, diagnostics, trace snapshots) are built from the
-/// topology's sorted keys where they leave the engine.
+/// The run's one store is its trajectory: every completed iteration's
+/// results by spec position. The name-keyed outputs (results,
+/// diagnostics, the convergence trace) are views over it and the
+/// topology's sorted keys.
 ///
-/// Returns the outcome, the capture (`Some` only when `capture` is set
-/// **and** the run converged — a stopped run's trajectory is not a
-/// fixed point), and the total number of per-entity analyses replayed
-/// from the snapshot.
+/// Returns the analysis, the resolved models of every completed
+/// iteration (`Some` only when `capture` is set **and** the run
+/// converged — a stopped run's trajectory is not a fixed point; a warm
+/// start pairs them with the diagnostics' trajectory), and the total
+/// number of per-entity analyses replayed from the snapshot.
 pub(crate) fn run_with(
     spec: &SystemSpec,
     config: &SystemConfig,
-    topology: &Topology,
+    topology: &Arc<Topology>,
     warm: Option<&EngineWarm<'_>>,
     capture: bool,
-) -> Result<(RunOutcome, Option<Capture>, u64), SystemError> {
+) -> Result<(RobustAnalysis, Option<Vec<Resolution>>, u64), SystemError> {
     let started = Instant::now();
     let recorder = config.local.recorder.clone();
     let _run_span = recorder.span("analyze", "engine");
-    let mut trace = ConvergenceTrace::new();
 
-    // Degradation state: the last two completed iterations' results and
-    // the growth tracks (by position in `topology.entities`; empty until
-    // an iteration misses the fixed point). The resolved models of
-    // completed iterations are kept too — all of them when capturing,
-    // else only the last, whose models a stopped run salvages.
-    let mut last: Option<IterationResults> = None;
-    let mut previous: Option<IterationResults> = None;
+    // Degradation state besides the trajectory: the growth tracks (by
+    // position in `topology.entities`; empty until an iteration misses
+    // the fixed point) and the resolved models of completed iterations
+    // — all of them when capturing, else only the last, whose models a
+    // stopped run salvages.
+    let mut trajectory: Vec<IterationResults> = Vec::new();
     let mut tracks: Vec<Track> = Vec::new();
     let mut resolutions: Vec<Resolution> = Vec::new();
-    let mut trajectory = Vec::new();
-    let mut completed = 0u64;
+    let mut curves = HashSet::new();
     let mut replayed_total = 0u64;
 
     macro_rules! stop {
-        ($reason:expr) => {
+        ($reason:expr, $culprit:expr) => {
             return Ok((
                 stopped(
-                    spec,
                     config,
                     topology,
                     started,
                     $reason,
                     Salvage {
-                        completed,
-                        trace,
+                        culprit: $culprit,
+                        trajectory,
                         tracks: &tracks,
-                        last,
-                        previous,
                         resolution: resolutions.last(),
                     },
                 ),
@@ -823,15 +673,15 @@ pub(crate) fn run_with(
 
     for iteration in 1..=config.max_global_iterations {
         if config.local.budget.exhausted() {
-            stop!(StopReason::BudgetExhausted);
+            stop!(StopReason::BudgetExhausted, None);
         }
         let iter_span = recorder.span("global_iteration", "engine");
         let warm_iter = warm.map(|plan| WarmIteration {
             plan,
             replay: plan.snapshot.replay(iteration),
         });
-        let prev_tasks = last.as_ref().map_or(&[][..], |l| &l.tasks);
-        let mut resolver = Resolver::new(spec, config, topology, prev_tasks);
+        let prev_tasks = trajectory.last().map_or(&[][..], |l| &l.tasks);
+        let mut resolver = Resolver::new(spec, config, topology, prev_tasks, &mut curves);
         if let Some(w) = &warm_iter {
             resolver.seed(w);
         }
@@ -844,21 +694,20 @@ pub(crate) fn run_with(
         let acc = match iteration_outcome {
             Ok(acc) => acc,
             Err(IterationError::Hard(e)) => return Err(e),
-            Err(IterationError::Budget) => stop!(StopReason::BudgetExhausted),
+            Err(IterationError::Budget) => stop!(StopReason::BudgetExhausted, None),
             Err(IterationError::Local { entity, error }) => {
-                stop!(StopReason::LocalAnalysisFailed { entity, error })
+                let key = topology.entity_keys.get(entity).to_string();
+                stop!(
+                    StopReason::LocalAnalysisFailed { entity: key, error },
+                    Some(entity)
+                )
             }
         };
         let (results, replayed) = acc.finish();
-        completed = iteration;
         replayed_total += replayed;
         recorder.add(Counter::GlobalIterations, 1);
-        if capture {
-            trajectory.push(results.clone());
-        }
-        trace.push(results.snapshot(iteration, topology));
 
-        let fixed_point = match &last {
+        let fixed_point = match trajectory.last() {
             Some(last) => results.same_responses(last),
             None => results.frames.is_empty() && results.tasks.is_empty(),
         };
@@ -867,21 +716,17 @@ pub(crate) fn run_with(
             // state, resolving in spec order.
             let mut task_activations = Vec::with_capacity(spec.tasks.len());
             for i in 0..spec.tasks.len() {
-                task_activations.push(resolver.task_activation(i)?);
+                task_activations.push(Some(resolver.task_activation(i)?));
             }
             let mut frame_inputs = Vec::with_capacity(spec.frames.len());
             let mut frame_outputs = Vec::with_capacity(spec.frames.len());
-            let mut unpacked_signals = BTreeMap::new();
+            let mut unpacked = Vec::new();
             for (j, f) in spec.frames.iter().enumerate() {
-                frame_inputs.push(resolver.analysis_outer(j)?);
+                frame_inputs.push(Some(resolver.analysis_outer(j)?));
                 frame_outputs.push(resolver.frame_output(j)?);
                 if config.mode == AnalysisMode::Hierarchical {
                     let processed = resolver.processed_hem(j)?;
-                    for s in &f.signals {
-                        if let Some(m) = processed.unpack_by_name(&s.name) {
-                            unpacked_signals.insert(signal_key(&f.name, &s.name), m);
-                        }
-                    }
+                    unpacked.extend(f.signals.iter().map(|s| processed.unpack_by_name(&s.name)));
                 }
             }
             // Assembly may have touched caches (e.g. a frame no task
@@ -889,59 +734,39 @@ pub(crate) fn run_with(
             resolver.flush_caches();
             let captured = capture.then(|| {
                 push_resolution(&mut resolutions, resolver.tables, true);
-                Capture {
-                    trajectory,
-                    resolutions,
-                }
+                resolutions
             });
-            let by_task_name = |models: &[ModelRef]| -> BTreeMap<String, ModelRef> {
-                topology
-                    .sorted_tasks()
-                    .map(|i| (spec.tasks[i].name.clone(), models[i].clone()))
-                    .collect()
-            };
-            let by_frame_name = |models: &[ModelRef]| -> BTreeMap<String, ModelRef> {
-                topology
+            let task_results = results.task_results(topology);
+            trajectory.push(results);
+            let results = SystemResults {
+                mode: config.mode,
+                iterations: iteration,
+                complete: true,
+                topology: Arc::clone(topology),
+                results: task_results,
+                statuses: Vec::new(),
+                inputs: topology
+                    .by_entity(&frame_inputs, &task_activations)
+                    .cloned()
+                    .collect(),
+                outputs: topology
                     .sorted_frames()
-                    .map(|j| (spec.frames[j].name.clone(), models[j].clone()))
-                    .collect()
+                    .map(|j| frame_outputs[j].clone())
+                    .collect(),
+                unpacked,
             };
-            let task_convergence = topology
-                .sorted_tasks()
-                .map(|i| (spec.tasks[i].name.clone(), ConvergenceStatus::Converged))
-                .collect();
-            let frame_convergence = topology
-                .sorted_frames()
-                .map(|j| (spec.frames[j].name.clone(), ConvergenceStatus::Converged))
-                .collect();
-            let (task_results, frame_results) = results.named(spec, topology);
             let diagnostics = Diagnostics {
                 stop: StopReason::Converged,
                 iterations: iteration,
                 elapsed: started.elapsed(),
-                trace,
                 diverging: Vec::new(),
-                last_response_times: results.response_times(topology),
-                previous_response_times: last
-                    .map(|l| l.response_times(topology))
-                    .unwrap_or_default(),
                 suspected_bottleneck: None,
+                trajectory: trajectory.into(),
+                topology: Arc::clone(topology),
             };
             return Ok((
-                RunOutcome::Converged {
-                    results: SystemResults {
-                        mode: config.mode,
-                        iterations: iteration,
-                        complete: true,
-                        task_results,
-                        frame_results,
-                        task_convergence,
-                        frame_convergence,
-                        task_activations: by_task_name(&task_activations),
-                        frame_inputs: by_frame_name(&frame_inputs),
-                        frame_outputs: by_frame_name(&frame_outputs),
-                        unpacked_signals,
-                    },
+                RobustAnalysis {
+                    results,
                     diagnostics,
                 },
                 captured,
@@ -957,7 +782,7 @@ pub(crate) fn run_with(
         for (track, &entity) in tracks.iter_mut().zip(&topology.entities) {
             track.update(results.response(entity));
         }
-        previous = last.replace(results);
+        trajectory.push(results);
         if config.divergence_streak > 0 {
             // The last longest streak in prefixed-key order.
             if let Some((k, track)) = tracks
@@ -966,29 +791,28 @@ pub(crate) fn run_with(
                 .filter(|(_, t)| t.streak >= config.divergence_streak)
                 .max_by_key(|(_, t)| t.streak)
             {
-                stop!(StopReason::DivergenceDetected {
+                let reason = StopReason::DivergenceDetected {
                     entity: topology.entity_keys.get(k).to_string(),
                     streak: track.streak,
-                });
+                };
+                stop!(reason, Some(k));
             }
         }
     }
-    stop!(StopReason::IterationLimitReached)
+    stop!(StopReason::IterationLimitReached, None)
 }
 
 /// Appends a completed iteration's resolved models: when capturing, to
 /// the full history, else replacing the previous iteration's.
 ///
-/// A capture shares curves that did not change since the previous
-/// iteration, and drops the previous iteration's processed HEMs: a
-/// replay needs them only for dirty consumers of a clean frame, which
-/// rebuild them from the recorded packing and result, while the
-/// converged iteration's feed the results of every replaying run.
-fn push_resolution(resolutions: &mut Vec<Resolution>, mut resolution: Resolution, capture: bool) {
+/// A capture drops the previous iteration's processed HEMs: a replay
+/// needs them only for dirty consumers of a clean frame, which rebuild
+/// them from the recorded packing and result, while the converged
+/// iteration's feed the results of every replaying run.
+fn push_resolution(resolutions: &mut Vec<Resolution>, resolution: Resolution, capture: bool) {
     if !capture {
         resolutions.clear();
     } else if let Some(prev) = resolutions.last_mut() {
-        resolution.share_equal_curves(prev);
         prev.processed.iter_mut().for_each(|p| *p = None);
     }
     resolutions.push(resolution);
@@ -1016,6 +840,11 @@ struct Resolver<'a> {
     /// Whether resolved models are swapped for closed-form analytic
     /// curves (resolved once per iteration from the config).
     analytic: bool,
+    /// Every distinct curve the run has lifted. An equal lift (another
+    /// receiver of the same stream, or a later iteration repeating an
+    /// earlier one) shares its allocation, so a snapshot holds one
+    /// copy of each curve value.
+    curves: &'a mut HashSet<Arc<AnalyticCurve>>,
 }
 
 impl<'a> Resolver<'a> {
@@ -1024,6 +853,7 @@ impl<'a> Resolver<'a> {
         config: &'a SystemConfig,
         topology: &'a Topology,
         prev_tasks: &'a [Record],
+        curves: &'a mut HashSet<Arc<AnalyticCurve>>,
     ) -> Self {
         Resolver {
             spec,
@@ -1036,6 +866,7 @@ impl<'a> Resolver<'a> {
             visiting_frames: vec![false; spec.frames.len()],
             caches: Vec::new(),
             analytic: config.analytic_enabled(),
+            curves,
         }
     }
 
@@ -1096,8 +927,9 @@ impl<'a> Resolver<'a> {
     /// fallback tallies are deterministic. Call
     /// sites skip the memoizing cache wrapper for a lifted curve: it
     /// already answers every query with an O(1) head lookup, and a
-    /// hash-and-lock layer on top of that only costs time.
-    fn analytic_lift(&self, model: &ModelRef) -> Option<Arc<AnalyticCurve>> {
+    /// hash-and-lock layer on top of that only costs time. A curve equal
+    /// to one lifted earlier in the run comes back as that allocation.
+    fn analytic_lift(&mut self, model: &ModelRef) -> Option<Arc<AnalyticCurve>> {
         if !self.analytic {
             return None;
         }
@@ -1105,7 +937,12 @@ impl<'a> Resolver<'a> {
         match model.analytic() {
             Some(curve) => {
                 recorder.add(Counter::AnalyticLifts, 1);
-                Some(Arc::new(curve))
+                if let Some(shared) = self.curves.get(&curve) {
+                    return Some(shared.clone());
+                }
+                let curve = Arc::new(curve);
+                self.curves.insert(curve.clone());
+                Some(curve)
             }
             None => {
                 recorder.add(Counter::AnalyticFallbacks, 1);
@@ -1973,7 +1810,7 @@ mod tests {
         // Diagnostics carry the converged response-time vector.
         assert_eq!(
             r.diagnostics
-                .last_response_times
+                .last_response_times()
                 .get("frame:F")
                 .map(|rt| rt.r_plus),
             Some(Time::new(95))

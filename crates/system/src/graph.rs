@@ -793,19 +793,56 @@ impl Topology {
         }
     }
 
-    /// Task positions in name order.
-    pub(crate) fn sorted_tasks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.entities.iter().filter_map(|e| match *e {
-            Entity::Task(i) => Some(i),
-            Entity::Frame(_) => None,
-        })
-    }
-
     /// Frame positions in name order.
     pub(crate) fn sorted_frames(&self) -> impl Iterator<Item = usize> + '_ {
         self.entities.iter().map_while(|e| match *e {
             Entity::Frame(j) => Some(j),
             Entity::Task(_) => None,
+        })
+    }
+
+    /// The positions in `entities` of the frames.
+    pub(crate) fn frame_entities(&self) -> std::ops::Range<usize> {
+        0..self.frames.len()
+    }
+
+    /// The positions in `entities` of the tasks.
+    pub(crate) fn task_entities(&self) -> std::ops::Range<usize> {
+        self.frames.len()..self.entities.len()
+    }
+
+    /// The key of an entity as its prefix (`"frame:"` / `"task:"`) and
+    /// name.
+    fn key_parts(&self, entity: Entity) -> (&'static str, &str) {
+        match entity {
+            Entity::Frame(j) => ("frame:", self.frames.get(j)),
+            Entity::Task(i) => ("task:", self.tasks.get(i)),
+        }
+    }
+
+    /// The name of `entities[k]`.
+    pub(crate) fn entity_name(&self, k: usize) -> &str {
+        self.key_parts(self.entities[k]).1
+    }
+
+    /// The position in `entities` of the entity keyed `prefix` + `name`,
+    /// by binary search over the sorted keys.
+    pub(crate) fn find_entity(&self, prefix: &str, name: &str) -> Option<usize> {
+        self.entities
+            .binary_search_by(|&e| self.key_parts(e).cmp(&(prefix, name)))
+            .ok()
+    }
+
+    /// `frames[j]` / `tasks[i]` of every entity, in entity order: a
+    /// spec-position table laid out like every name-keyed output.
+    pub(crate) fn by_entity<'t, T>(
+        &'t self,
+        frames: &'t [T],
+        tasks: &'t [T],
+    ) -> impl Iterator<Item = &'t T> + 't {
+        self.entities.iter().map(move |e| match *e {
+            Entity::Frame(j) => &frames[j],
+            Entity::Task(i) => &tasks[i],
         })
     }
 

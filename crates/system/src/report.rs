@@ -187,9 +187,10 @@ pub fn render_profiled(
     snapshot: &MetricsSnapshot,
 ) -> String {
     let mut out = render_robust(spec, robust);
-    if !robust.diagnostics.trace.is_empty() {
+    let trace = robust.diagnostics.trace();
+    if !trace.is_empty() {
         let _ = writeln!(out, "\nconvergence trace (r+ per global iteration):");
-        out.push_str(&robust.diagnostics.trace.render_table());
+        out.push_str(&trace.render_table());
     }
     out.push('\n');
     out.push_str(&render_metrics(snapshot));

@@ -1,12 +1,14 @@
 //! Global analysis configuration and results.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hem_analysis::{AnalysisBudget, AnalysisConfig, TaskResult};
 use hem_event_models::ModelRef;
 use hem_obs::RecorderHandle;
 
 use crate::diagnostics::ConvergenceStatus;
+use crate::graph::{Entity, Topology};
 use crate::spec::AnalysisMode;
 
 /// Configuration of the global system analysis.
@@ -145,19 +147,30 @@ impl SystemConfig {
 /// Response times in a partial result are **lower bounds on the true
 /// worst case**, not safe bounds — they must never be used to certify
 /// deadlines.
+///
+/// Every per-entity table is laid out in the topology's entity order
+/// (frames, then tasks, each sorted by name), and a name is found by
+/// binary search over the topology's sorted keys.
 #[derive(Debug)]
 pub struct SystemResults {
     pub(crate) mode: AnalysisMode,
     pub(crate) iterations: u64,
     pub(crate) complete: bool,
-    pub(crate) task_results: BTreeMap<String, TaskResult>,
-    pub(crate) frame_results: BTreeMap<String, TaskResult>,
-    pub(crate) task_convergence: BTreeMap<String, ConvergenceStatus>,
-    pub(crate) frame_convergence: BTreeMap<String, ConvergenceStatus>,
-    pub(crate) task_activations: BTreeMap<String, ModelRef>,
-    pub(crate) frame_inputs: BTreeMap<String, ModelRef>,
-    pub(crate) frame_outputs: BTreeMap<String, ModelRef>,
-    pub(crate) unpacked_signals: BTreeMap<String, ModelRef>,
+    pub(crate) topology: Arc<Topology>,
+    /// The last completed iteration's result of every entity (empty
+    /// when no iteration completed).
+    pub(crate) results: Vec<TaskResult>,
+    /// Every entity's status; empty for a complete result, where every
+    /// entity converged.
+    pub(crate) statuses: Vec<ConvergenceStatus>,
+    /// Every frame's bus-analysis input and every task's activation,
+    /// where resolved (empty when nothing was).
+    pub(crate) inputs: Vec<Option<ModelRef>>,
+    /// Every frame's output stream (empty for a partial result).
+    pub(crate) outputs: Vec<ModelRef>,
+    /// Every signal's unpacked stream, in the topology's frame-major
+    /// signal numbering (empty unless hierarchical and complete).
+    pub(crate) unpacked: Vec<Option<ModelRef>>,
 }
 
 impl SystemResults {
@@ -174,28 +187,59 @@ impl SystemResults {
         self.complete
     }
 
+    fn status(&self, k: usize) -> ConvergenceStatus {
+        if self.complete {
+            ConvergenceStatus::Converged
+        } else {
+            self.statuses[k]
+        }
+    }
+
+    fn find_task(&self, name: &str) -> Option<usize> {
+        self.topology.find_entity("task:", name)
+    }
+
+    fn find_frame(&self, name: &str) -> Option<usize> {
+        self.topology.find_entity("frame:", name)
+    }
+
+    fn statuses_of(
+        &self,
+        entities: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (&str, ConvergenceStatus)> {
+        entities.map(|k| (self.topology.entity_name(k), self.status(k)))
+    }
+
+    fn results_of(
+        &self,
+        entities: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (&str, &TaskResult)> {
+        let results = self.results.get(entities).unwrap_or_default();
+        results.iter().map(|r| (r.name.as_str(), r))
+    }
+
     /// Convergence status of a task (see [`ConvergenceStatus`]).
     #[must_use]
     pub fn task_convergence(&self, name: &str) -> Option<ConvergenceStatus> {
-        self.task_convergence.get(name).copied()
+        self.find_task(name).map(|k| self.status(k))
     }
 
     /// Convergence status of a frame (see [`ConvergenceStatus`]).
     #[must_use]
     pub fn frame_convergence(&self, name: &str) -> Option<ConvergenceStatus> {
-        self.frame_convergence.get(name).copied()
+        self.find_frame(name).map(|k| self.status(k))
     }
 
     /// Every task's convergence status, ordered by name (the order of
     /// [`SystemResults::tasks`]).
     pub fn task_statuses(&self) -> impl Iterator<Item = (&str, ConvergenceStatus)> {
-        self.task_convergence.iter().map(|(k, v)| (k.as_str(), *v))
+        self.statuses_of(self.topology.task_entities())
     }
 
     /// Every frame's convergence status, ordered by name (the order of
     /// [`SystemResults::frames`]).
     pub fn frame_statuses(&self) -> impl Iterator<Item = (&str, ConvergenceStatus)> {
-        self.frame_convergence.iter().map(|(k, v)| (k.as_str(), *v))
+        self.statuses_of(self.topology.frame_entities())
     }
 
     /// Number of global iterations until the fixed point.
@@ -207,44 +251,44 @@ impl SystemResults {
     /// Response-time result of a task, if it exists.
     #[must_use]
     pub fn task(&self, name: &str) -> Option<&TaskResult> {
-        self.task_results.get(name)
+        self.results.get(self.find_task(name)?)
     }
 
     /// Response-time result of a frame, if it exists.
     #[must_use]
     pub fn frame(&self, name: &str) -> Option<&TaskResult> {
-        self.frame_results.get(name)
+        self.results.get(self.find_frame(name)?)
     }
 
     /// All task results, ordered by name.
     pub fn tasks(&self) -> impl Iterator<Item = (&str, &TaskResult)> {
-        self.task_results.iter().map(|(k, v)| (k.as_str(), v))
+        self.results_of(self.topology.task_entities())
     }
 
     /// All frame results, ordered by name.
     pub fn frames(&self) -> impl Iterator<Item = (&str, &TaskResult)> {
-        self.frame_results.iter().map(|(k, v)| (k.as_str(), v))
+        self.results_of(self.topology.frame_entities())
     }
 
     /// The final activation event model of a task (what its local
     /// analysis saw in the last iteration).
     #[must_use]
     pub fn task_activation(&self, name: &str) -> Option<&ModelRef> {
-        self.task_activations.get(name)
+        self.inputs.get(self.find_task(name)?)?.as_ref()
     }
 
     /// The frame-activation stream the bus analysis consumed (the outer
     /// stream before transport; the SEM fit under `FlatSem`).
     #[must_use]
     pub fn frame_activation(&self, name: &str) -> Option<&ModelRef> {
-        self.frame_inputs.get(name)
+        self.inputs.get(self.find_frame(name)?)?.as_ref()
     }
 
     /// The output stream of a frame after bus transport (the flat /
     /// outer view) — the black-dotted curve of the paper's Figure 4.
     #[must_use]
     pub fn frame_output(&self, name: &str) -> Option<&ModelRef> {
-        self.frame_outputs.get(name)
+        self.outputs.get(self.find_frame(name)?)
     }
 
     /// The unpacked stream of `signal` transported by `frame` after bus
@@ -252,7 +296,14 @@ impl SystemResults {
     /// [`AnalysisMode::Hierarchical`].
     #[must_use]
     pub fn unpacked_signal(&self, frame: &str, signal: &str) -> Option<&ModelRef> {
-        self.unpacked_signals.get(&signal_key(frame, signal))
+        let topology = &self.topology;
+        let Entity::Frame(j) = topology.entities[self.find_frame(frame)?] else {
+            unreachable!("frame keys name frames")
+        };
+        let s = topology
+            .frame_signals(j)
+            .find(|&s| topology.signal_names.get(s) == signal)?;
+        self.unpacked.get(s)?.as_ref()
     }
 
     /// Every response time, keyed by prefixed entity (`task:<name>` /
@@ -260,14 +311,10 @@ impl SystemResults {
     /// runs, e.g. asserting incremental results equal from-scratch ones.
     #[must_use]
     pub fn response_times(&self) -> BTreeMap<String, hem_analysis::ResponseTime> {
-        self.frame_results
+        self.results
             .iter()
-            .map(|(k, v)| (format!("frame:{k}"), v.response))
-            .chain(
-                self.task_results
-                    .iter()
-                    .map(|(k, v)| (format!("task:{k}"), v.response)),
-            )
+            .enumerate()
+            .map(|(k, r)| (self.topology.entity_keys.get(k).to_string(), r.response))
             .collect()
     }
 }

@@ -49,10 +49,7 @@ use hem_event_models::ModelRef;
 use hem_obs::Counter;
 use hem_time::Time;
 
-use crate::engine::{
-    run_with, validate, Capture, EngineWarm, IterationResults, Resolution, RobustAnalysis,
-    RunOutcome,
-};
+use crate::engine::{run_with, validate, EngineWarm, IterationResults, Resolution, RobustAnalysis};
 use crate::graph::{Topology, Wire};
 use crate::result::SystemConfig;
 use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec, TaskSpec};
@@ -80,8 +77,9 @@ pub struct WarmStart {
     max_busy_window: Time,
     max_activations: u64,
     max_iterations: u64,
-    /// The results of iterations `1..=n`, by spec position.
-    trajectory: Vec<IterationResults>,
+    /// The results of iterations `1..=n`, by spec position, shared with
+    /// the captured run's [`Diagnostics`](crate::Diagnostics).
+    trajectory: Arc<[IterationResults]>,
     /// The resolved models of iterations `1..=n`, indexed by spec
     /// position, seeded into clean entities of the next run.
     resolutions: Vec<Resolution>,
@@ -98,7 +96,8 @@ impl WarmStart {
         topology: Arc<Topology>,
         spec: &SystemSpec,
         config: &SystemConfig,
-        capture: Capture,
+        trajectory: Arc<[IterationResults]>,
+        resolutions: Vec<Resolution>,
     ) -> Self {
         WarmStart {
             topology,
@@ -109,8 +108,8 @@ impl WarmStart {
             max_busy_window: config.local.max_busy_window,
             max_activations: config.local.max_activations,
             max_iterations: config.local.max_iterations,
-            trajectory: capture.trajectory,
-            resolutions: capture.resolutions,
+            trajectory,
+            resolutions,
         }
     }
 
@@ -383,78 +382,44 @@ pub fn analyze_incremental(
         }
     };
     let total_resources = topology.resource_count();
-    match plan(config, warm, delta, &topology) {
-        Ok((engine_warm, dirty)) => {
-            recorder.add(Counter::ConeSize, dirty.len() as u64);
-            let (outcome, capture, replayed) =
-                run_with(spec, config, &topology, Some(&engine_warm), true)?;
-            finish(
-                topology,
-                spec,
-                config,
-                outcome,
-                capture,
-                ReuseReport {
-                    warm: true,
-                    fallback: None,
-                    dirty_resources: dirty,
-                    total_resources,
-                    replayed_results: replayed,
-                },
-            )
-        }
+    let (engine_warm, reuse) = match plan(config, warm, delta, &topology) {
+        Ok((engine_warm, dirty)) => (
+            Some(engine_warm),
+            ReuseReport {
+                warm: true,
+                fallback: None,
+                dirty_resources: dirty,
+                total_resources,
+                replayed_results: 0,
+            },
+        ),
         Err(reason) => {
             recorder.add(Counter::FullFallbacks, 1);
-            recorder.add(Counter::ConeSize, total_resources as u64);
-            let (outcome, capture, _) = run_with(spec, config, &topology, None, true)?;
             let dirty_resources = topology.resource_keys().map(String::from).collect();
-            finish(
-                topology,
-                spec,
-                config,
-                outcome,
-                capture,
-                ReuseReport {
-                    warm: false,
-                    fallback: Some(reason),
-                    dirty_resources,
-                    total_resources,
-                    replayed_results: 0,
-                },
-            )
+            let reuse = ReuseReport {
+                warm: false,
+                fallback: Some(reason),
+                dirty_resources,
+                total_resources,
+                replayed_results: 0,
+            };
+            (None, reuse)
         }
-    }
-}
-
-fn finish(
-    topology: Arc<Topology>,
-    spec: &SystemSpec,
-    config: &SystemConfig,
-    outcome: RunOutcome,
-    capture: Option<Capture>,
-    reuse: ReuseReport,
-) -> Result<IncrementalOutcome, SystemError> {
-    let snapshot = capture.map(|c| WarmStart::assemble(topology, spec, config, c));
-    let analysis = match outcome {
-        RunOutcome::Converged {
-            results,
-            diagnostics,
-        } => RobustAnalysis {
-            results,
-            diagnostics,
-        },
-        RunOutcome::Stopped {
-            partial,
-            diagnostics,
-        } => RobustAnalysis {
-            results: partial,
-            diagnostics,
-        },
     };
+    recorder.add(Counter::ConeSize, reuse.dirty_resources.len() as u64);
+    let (analysis, resolutions, replayed_results) =
+        run_with(spec, config, &topology, engine_warm.as_ref(), true)?;
+    let snapshot = resolutions.map(|resolutions| {
+        let trajectory = Arc::clone(&analysis.diagnostics.trajectory);
+        WarmStart::assemble(topology, spec, config, trajectory, resolutions)
+    });
     Ok(IncrementalOutcome {
         analysis,
         snapshot,
-        reuse,
+        reuse: ReuseReport {
+            replayed_results,
+            ..reuse
+        },
     })
 }
 
@@ -689,6 +654,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
+    use crate::engine::Resolved;
     use crate::spec::SignalSpec;
     use hem_event_models::{EventModelExt, StandardEventModel};
 
@@ -941,7 +907,61 @@ mod tests {
             second.analysis.diagnostics.iterations,
             cold.diagnostics.iterations
         );
-        assert_eq!(second.analysis.diagnostics.trace, cold.diagnostics.trace);
+        assert_eq!(
+            second.analysis.diagnostics.trace(),
+            cold.diagnostics.trace()
+        );
+    }
+
+    #[test]
+    fn snapshot_shares_the_trajectory_with_the_diagnostics() {
+        let config = SystemConfig::new(AnalysisMode::Hierarchical);
+        let spec = two_island_spec();
+        let first = analyze_incremental(&spec, &config, None).expect("well-formed");
+        let snapshot = first.snapshot.as_ref().expect("converged run snapshots");
+        let diagnostics = &first.analysis.diagnostics;
+        assert!(Arc::ptr_eq(&snapshot.trajectory, &diagnostics.trajectory));
+        assert_eq!(snapshot.iterations(), diagnostics.iterations);
+
+        // A warm run shares its own trajectory with its own snapshot.
+        let mut mutated = spec.clone();
+        mutated.tasks[0].wcet = Time::new(35);
+        let second = analyze_incremental(&mutated, &config, Some(snapshot)).expect("well-formed");
+        assert!(second.reuse.warm);
+        let next = second.snapshot.as_ref().expect("converged run snapshots");
+        assert!(Arc::ptr_eq(
+            &next.trajectory,
+            &second.analysis.diagnostics.trajectory
+        ));
+        assert!(!Arc::ptr_eq(&next.trajectory, &snapshot.trajectory));
+    }
+
+    #[test]
+    fn equal_curves_share_one_allocation() {
+        // t2 receives the same signal as t0: equal activation curves.
+        let mut t2 = task(
+            "t2",
+            "cpu_a",
+            10,
+            ActivationSpec::Signal {
+                frame: "F0".into(),
+                signal: "s".into(),
+            },
+        );
+        t2.priority = Priority::new(2);
+        let spec = two_island_spec().task(t2);
+        let config = SystemConfig::new(AnalysisMode::Hierarchical).with_analytic(Some(true));
+        let run = analyze_incremental(&spec, &config, None).expect("well-formed");
+        let snapshot = run.snapshot.expect("converged run snapshots");
+        let curve = |iteration: usize, i: usize| match &snapshot.resolutions[iteration].tasks[i] {
+            Some(Resolved::Lifted(curve)) => Arc::clone(curve),
+            other => panic!("task {i} is not lifted: {other:?}"),
+        };
+        let last = snapshot.resolutions.len() - 1;
+        assert!(last >= 1, "a fixed point needs a confirming iteration");
+        assert!(Arc::ptr_eq(&curve(last, 0), &curve(last, 2)));
+        assert!(Arc::ptr_eq(&curve(0, 0), &curve(last, 0)));
+        assert!(!Arc::ptr_eq(&curve(last, 0), &curve(last, 1)));
     }
 
     #[test]

@@ -101,9 +101,13 @@ fn assert_identical(on: &Run, off: &Run, strict_counters: bool, context: &str) {
             let db = &b.diagnostics;
             assert_eq!(da.stop, db.stop, "{context}: stop reason");
             assert_eq!(da.iterations, db.iterations, "{context}");
-            assert_eq!(da.trace, db.trace, "{context}: convergence trace");
+            assert_eq!(da.trace(), db.trace(), "{context}: convergence trace");
             assert_eq!(da.diverging, db.diverging, "{context}");
-            assert_eq!(da.last_response_times, db.last_response_times, "{context}");
+            assert_eq!(
+                da.last_response_times(),
+                db.last_response_times(),
+                "{context}"
+            );
             assert_eq!(
                 da.suspected_bottleneck, db.suspected_bottleneck,
                 "{context}"

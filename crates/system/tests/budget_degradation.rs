@@ -192,5 +192,5 @@ fn warm_replay_honors_exhausted_budget() {
         warm.analysis.results.response_times(),
         cold.results.response_times()
     );
-    assert_eq!(warm.analysis.diagnostics.trace, cold.diagnostics.trace);
+    assert_eq!(warm.analysis.diagnostics.trace(), cold.diagnostics.trace());
 }

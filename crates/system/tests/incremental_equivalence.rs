@@ -333,17 +333,23 @@ fn assert_matches_cold(
         "{label}: frame results"
     );
     assert_eq!(wa.diagnostics.stop, ca.diagnostics.stop, "{label}: stop");
-    assert_eq!(wa.diagnostics.trace, ca.diagnostics.trace, "{label}: trace");
+    assert_eq!(
+        wa.diagnostics.trace(),
+        ca.diagnostics.trace(),
+        "{label}: trace"
+    );
     assert_eq!(
         wa.diagnostics.diverging, ca.diagnostics.diverging,
         "{label}: diverging"
     );
     assert_eq!(
-        wa.diagnostics.last_response_times, ca.diagnostics.last_response_times,
+        wa.diagnostics.last_response_times(),
+        ca.diagnostics.last_response_times(),
         "{label}: last rts"
     );
     assert_eq!(
-        wa.diagnostics.previous_response_times, ca.diagnostics.previous_response_times,
+        wa.diagnostics.previous_response_times(),
+        ca.diagnostics.previous_response_times(),
         "{label}: previous rts"
     );
     assert_eq!(

@@ -206,14 +206,16 @@ fn assert_identical(reference: &Run, candidate: &Run, threads: usize) {
             let db = &b.diagnostics;
             assert_eq!(da.stop, db.stop, "{threads} threads: stop reason");
             assert_eq!(da.iterations, db.iterations, "{threads} threads");
-            assert_eq!(da.trace, db.trace, "{threads} threads: trace");
+            assert_eq!(da.trace(), db.trace(), "{threads} threads: trace");
             assert_eq!(da.diverging, db.diverging, "{threads} threads");
             assert_eq!(
-                da.last_response_times, db.last_response_times,
+                da.last_response_times(),
+                db.last_response_times(),
                 "{threads} threads"
             );
             assert_eq!(
-                da.previous_response_times, db.previous_response_times,
+                da.previous_response_times(),
+                db.previous_response_times(),
                 "{threads} threads"
             );
             assert_eq!(
