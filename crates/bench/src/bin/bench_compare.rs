@@ -20,6 +20,15 @@
 //!   (the `HEM_THREADS=1` and `=4` CI legs); wall-clock, speedup, and
 //!   thread-count fields are ignored. This turns the
 //!   `docs/PARALLELISM.md` guarantee into an enforced check.
+//! * `bench_compare --ratchet <new> <old> [<waivers>]` — the **baseline
+//!   ratchet**: compares a regenerated baseline against the parent
+//!   commit's copy. A deterministic field may not change and a gated
+//!   field (timings, speedups, the overhead ceiling and the floors) may
+//!   not get worse, unless a line of the waiver file (default
+//!   `bench/baselines/WAIVERS`) names the field's path, its old and new
+//!   value and a reason: `<path> <old> -> <new> <reason>`, with `-` for
+//!   a field that is absent on that side. The file is an append-only
+//!   log; a waiver matches only its exact transition.
 //! * `bench_compare --report <fresh>` — prints the sweep, incremental,
 //!   and serving summaries of one profile, failing loudly when the
 //!   file is missing, malformed, or lacks the expected sections
@@ -47,6 +56,9 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use hem_obs::json::{parse, JsonValue};
+
+/// The waiver log `--ratchet` reads when no file is named.
+const DEFAULT_WAIVERS: &str = "bench/baselines/WAIVERS";
 
 /// Absolute ceiling on `obs.overhead_pct`: serving telemetry may cost
 /// at most this much wall time relative to a no-op recorder.
@@ -340,6 +352,99 @@ fn compare(
     rows
 }
 
+/// One line of the waiver file: an accepted transition of one field.
+#[derive(Debug, Clone, PartialEq)]
+struct Waiver {
+    path: String,
+    old: String,
+    new: String,
+    reason: String,
+}
+
+/// Parses the waiver file: `<path> <old> -> <new> <reason>` per line;
+/// blank lines and `#` comments are skipped.
+fn parse_waivers(text: &str) -> Result<Vec<Waiver>, String> {
+    let mut waivers = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut words = line.split_whitespace();
+        let (Some(path), Some(old), Some("->"), Some(new)) =
+            (words.next(), words.next(), words.next(), words.next())
+        else {
+            return Err(format!(
+                "waiver line {}: expected `<path> <old> -> <new> <reason>`",
+                n + 1
+            ));
+        };
+        let reason = words.collect::<Vec<_>>().join(" ");
+        if reason.is_empty() {
+            return Err(format!("waiver line {}: a waiver needs a reason", n + 1));
+        }
+        waivers.push(Waiver {
+            path: path.into(),
+            old: old.into(),
+            new: new.into(),
+            reason,
+        });
+    }
+    Ok(waivers)
+}
+
+/// Whether a waiver's value text denotes `leaf` (`-` for absent).
+fn denotes(text: &str, leaf: Option<&Leaf>) -> bool {
+    match leaf {
+        None => text == "-",
+        Some(Leaf::Number(n)) => text.parse::<f64>().is_ok_and(|t| t == *n),
+        Some(Leaf::Text(s)) => text == s,
+    }
+}
+
+/// Compares a regenerated baseline against its predecessor: every
+/// change of a deterministic field and every worsening of a gated one
+/// fails unless a waiver names that exact transition.
+fn ratchet(
+    new: &BTreeMap<String, Leaf>,
+    old: &BTreeMap<String, Leaf>,
+    waivers: &[Waiver],
+) -> Vec<Delta> {
+    let mut rows = Vec::new();
+    let keys: std::collections::BTreeSet<&String> = new.keys().chain(old.keys()).collect();
+    for key in keys {
+        let class = classify(key);
+        let (n, o) = (new.get(key.as_str()), old.get(key.as_str()));
+        // A new field adds a gate; a dropped one loosens it.
+        let (Some(old_leaf), false) = (o, class == Class::Informational) else {
+            continue;
+        };
+        let moved = match (n, old_leaf) {
+            (None, _) => Some("field dropped"),
+            (Some(Leaf::Number(nv)), Leaf::Number(ov)) => match class {
+                Class::Timing | Class::Bounded => (nv > ov).then_some("got worse"),
+                Class::Speedup | Class::Floored => (nv < ov).then_some("got worse"),
+                _ => (nv != ov).then_some("deterministic field changed"),
+            },
+            (Some(leaf), _) => (leaf != old_leaf).then_some("field changed"),
+        };
+        let Some(what) = moved else {
+            continue;
+        };
+        let waiver = waivers
+            .iter()
+            .find(|w| w.path == *key && denotes(&w.old, o) && denotes(&w.new, n));
+        rows.push(Delta {
+            path: key.clone(),
+            left: o.cloned(),
+            right: n.cloned(),
+            note: waiver.map_or_else(|| what.to_string(), |w| format!("waived: {}", w.reason)),
+            failed: waiver.is_none(),
+        });
+    }
+    rows
+}
+
 fn delta_note(baseline: f64, fresh: f64) -> String {
     if baseline == 0.0 {
         return "ok".into();
@@ -541,6 +646,38 @@ fn main() -> ExitCode {
             print!("{}", report(&load(path)));
             ExitCode::SUCCESS
         }
+        [flag, new_path, old_path, rest @ ..] if flag == "--ratchet" && rest.len() <= 1 => {
+            let mut new = BTreeMap::new();
+            let mut old = BTreeMap::new();
+            flatten(&load(new_path), String::new(), &mut new);
+            flatten(&load(old_path), String::new(), &mut old);
+            let waiver_path = rest.first().map_or(DEFAULT_WAIVERS, String::as_str);
+            let text = match std::fs::read_to_string(waiver_path) {
+                Ok(text) => text,
+                Err(_) if rest.is_empty() => String::new(),
+                Err(e) => die(&format!("cannot read waivers {waiver_path}: {e}")),
+            };
+            let waivers = parse_waivers(&text).unwrap_or_else(|e| die(&e));
+            let rows = ratchet(&new, &old, &waivers);
+            let failures = rows.iter().filter(|r| r.failed).count();
+            let checked = old
+                .keys()
+                .filter(|k| classify(k) != Class::Informational)
+                .count();
+            let table = markdown_table("Baseline ratchet", &rows, checked);
+            print!("{table}");
+            append_step_summary(&table);
+            if failures == 0 {
+                println!("baseline ratchet: OK ({} waived change(s))", rows.len());
+                ExitCode::SUCCESS
+            } else {
+                eprintln!(
+                    "baseline ratchet: {failures} unwaived change(s) from {old_path} to {new_path}; \
+                     add `<path> <old> -> <new> <reason>` lines to {waiver_path}"
+                );
+                ExitCode::FAILURE
+            }
+        }
         [flag, a, b] if flag == "--cross" => {
             let mut left = BTreeMap::new();
             let mut right = BTreeMap::new();
@@ -594,7 +731,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: bench_compare [--ignore <substring>]... <fresh.json> <baseline.json>\n       bench_compare [--ignore <substring>]... --cross <a.json> <b.json>\n       bench_compare --report <fresh.json>"
+                "usage: bench_compare [--ignore <substring>]... <fresh.json> <baseline.json>\n       bench_compare [--ignore <substring>]... --cross <a.json> <b.json>\n       bench_compare --ratchet <new.json> <old.json> [<waivers>]\n       bench_compare --report <fresh.json>"
             );
             ExitCode::from(2)
         }
@@ -806,6 +943,83 @@ mod tests {
         let b = doc(r#"{"counters":{}}"#);
         let rows = compare(&a, &b, 0.3, 0.0, false, &[]);
         assert!(rows.iter().any(|r| r.failed && r.note.contains("missing")));
+    }
+
+    #[test]
+    fn waiver_lines_parse_and_need_a_reason() {
+        let text = "# log\n\nanalytic.lifts 1052 -> 928 lifts carried across iterations\n";
+        let waivers = parse_waivers(text).expect("well-formed");
+        assert_eq!(
+            waivers,
+            [Waiver {
+                path: "analytic.lifts".into(),
+                old: "1052".into(),
+                new: "928".into(),
+                reason: "lifts carried across iterations".into(),
+            }]
+        );
+        assert!(parse_waivers("analytic.lifts 1052 -> 928")
+            .expect_err("no reason")
+            .contains("reason"));
+        assert!(parse_waivers("analytic.lifts 1052 928 why").is_err());
+    }
+
+    #[test]
+    fn ratchet_fails_unwaived_exact_changes_and_worsened_gates() {
+        let old = doc(r#"{"lifts":1052,"wall_ms":10,"speedup":2.0,"pruned_pct":60,
+                          "obs":{"overhead_pct":5.0},"threads":1}"#);
+        // Unchanged, improved gates and informational drift pass.
+        let better = doc(r#"{"lifts":1052,"wall_ms":9,"speedup":2.5,"pruned_pct":60,
+                             "obs":{"overhead_pct":4.0},"threads":4,"added":3}"#);
+        assert!(ratchet(&better, &old, &[]).is_empty());
+        // An exact change and each worsened gate fail without waivers.
+        let worse = doc(r#"{"lifts":928,"wall_ms":11,"speedup":1.9,"pruned_pct":60,
+                            "obs":{"overhead_pct":6.0}}"#);
+        let rows = ratchet(&worse, &old, &[]);
+        let failed: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.failed)
+            .map(|r| r.path.as_str())
+            .collect();
+        assert_eq!(failed, ["lifts", "obs.overhead_pct", "speedup", "wall_ms"]);
+        // A waiver covers exactly its transition.
+        let waive = |path: &str, old: &str, new: &str| Waiver {
+            path: path.into(),
+            old: old.into(),
+            new: new.into(),
+            reason: "measured".into(),
+        };
+        let waivers = [
+            waive("lifts", "1052", "928"),
+            waive("wall_ms", "10", "11"),
+            waive("speedup", "2", "1.9"),
+            waive("obs.overhead_pct", "5.0", "7.0"),
+        ];
+        let rows = ratchet(&worse, &old, &waivers);
+        let failed: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.failed)
+            .map(|r| r.path.as_str())
+            .collect();
+        assert_eq!(failed, ["obs.overhead_pct"]);
+        assert!(rows
+            .iter()
+            .any(|r| r.path == "lifts" && r.note == "waived: measured"));
+    }
+
+    #[test]
+    fn ratchet_fails_a_dropped_field_unless_waived() {
+        let old = doc(r#"{"explore":{"configs":897,"feasible":189}}"#);
+        let new = doc(r#"{"explore":{"configs":897}}"#);
+        let rows = ratchet(&new, &old, &[]);
+        assert!(rows.len() == 1 && rows[0].failed && rows[0].note == "field dropped");
+        let waiver = Waiver {
+            path: "explore.feasible".into(),
+            old: "189".into(),
+            new: "-".into(),
+            reason: "section merged".into(),
+        };
+        assert!(ratchet(&new, &old, &[waiver]).iter().all(|r| !r.failed));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! OR-activation combination of event streams (paper eqs. (3),(4)).
 
+use std::sync::OnceLock;
+
 use hem_time::{Time, TimeBound};
 
 use crate::{convert, AnalyticCurve, EventModel, ModelError, ModelRef};
@@ -40,6 +42,12 @@ use crate::{convert, AnalyticCurve, EventModel, ModelError, ModelRef};
 #[derive(Debug, Clone)]
 pub struct OrJoin {
     inputs: Vec<ModelRef>,
+    /// The closed-form lift, merged on the first
+    /// [`analytic`](EventModel::analytic) call. A packed frame's outer
+    /// stream is lifted once for the bus and again inside every pending
+    /// signal's inner stream; the inputs never change, so one merge
+    /// serves them all.
+    lift: OnceLock<Option<AnalyticCurve>>,
 }
 
 impl OrJoin {
@@ -54,7 +62,10 @@ impl OrJoin {
                 "OR-combination requires at least one input stream",
             ));
         }
-        Ok(OrJoin { inputs })
+        Ok(OrJoin {
+            inputs,
+            lift: OnceLock::new(),
+        })
     }
 
     /// The combined input streams.
@@ -97,12 +108,16 @@ impl EventModel for OrJoin {
     }
 
     fn analytic(&self) -> Option<AnalyticCurve> {
-        let children: Vec<AnalyticCurve> = self
-            .inputs
-            .iter()
-            .map(|m| m.analytic())
-            .collect::<Option<_>>()?;
-        AnalyticCurve::or_join(&children)
+        self.lift
+            .get_or_init(|| {
+                let children: Vec<AnalyticCurve> = self
+                    .inputs
+                    .iter()
+                    .map(|m| m.analytic())
+                    .collect::<Option<_>>()?;
+                AnalyticCurve::or_join(&children)
+            })
+            .clone()
     }
 }
 

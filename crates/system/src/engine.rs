@@ -222,6 +222,11 @@ pub(crate) struct EngineWarm<'w> {
     pub(crate) clean_buses: Vec<bool>,
     /// Whether `spec.cpus[c]` is outside the damage cone.
     pub(crate) clean_cpus: Vec<bool>,
+    /// Whether `spec.frames[j]` is external-fed and its packing inputs
+    /// (source models, transfers, type, payload, format) equal the
+    /// snapshot's: its recorded packing and outer stream carry over
+    /// even when its bus is in the cone.
+    pub(crate) kept_packings: Vec<bool>,
     pub(crate) snapshot: &'w crate::warm::WarmStart,
 }
 
@@ -649,6 +654,9 @@ pub(crate) fn run_with(
     let mut resolutions: Vec<Resolution> = Vec::new();
     let mut curves = HashSet::new();
     let mut replayed_total = 0u64;
+    let external_fed: Vec<bool> = (0..spec.frames.len())
+        .map(|j| topology.external_fed(j))
+        .collect();
 
     macro_rules! stop {
         ($reason:expr, $culprit:expr) => {
@@ -684,6 +692,13 @@ pub(crate) fn run_with(
         let mut resolver = Resolver::new(spec, config, topology, prev_tasks, &mut curves);
         if let Some(w) = &warm_iter {
             resolver.seed(w);
+        }
+        // An external-fed frame's packing holds for the whole run, and
+        // across warm runs while its packing inputs hold.
+        match (resolutions.last(), &warm_iter) {
+            (Some(previous), _) => resolver.carry(previous, &external_fed),
+            (None, Some(w)) => resolver.carry(w.replay.resolution, &w.plan.kept_packings),
+            (None, None) => {}
         }
         let iteration_outcome = run_iteration(&mut resolver, spec, config, warm_iter.as_ref());
         // Flush the shared curve caches' buffered hit/miss counters at a
@@ -831,6 +846,10 @@ struct Resolver<'a> {
     tables: Resolution,
     /// This iteration's bus-analysis result of `spec.frames[j]`.
     frame_results: Vec<Option<Record>>,
+    /// Packings (with their outer streams) carried from an earlier
+    /// iteration or run, moved into the tables where this iteration
+    /// would otherwise build them.
+    carried: Vec<Option<(Arc<HierarchicalEventModel>, Resolved)>>,
     visiting_tasks: Vec<bool>,
     visiting_frames: Vec<bool>,
     /// Every shared curve cache created (or forked) this iteration, in
@@ -862,6 +881,7 @@ impl<'a> Resolver<'a> {
             prev_tasks,
             tables: Resolution::empty(spec),
             frame_results: vec![None; spec.frames.len()],
+            carried: vec![None; spec.frames.len()],
             visiting_tasks: vec![false; spec.tasks.len()],
             visiting_frames: vec![false; spec.frames.len()],
             caches: Vec::new(),
@@ -893,6 +913,27 @@ impl<'a> Resolver<'a> {
                 self.tables.outer[j] = record.outer[j].as_ref().map(|r| self.replayed(r));
                 self.tables.processed[j] = record.processed[j].clone();
             }
+        }
+    }
+
+    /// Carries the packing and outer stream of every flagged frame that
+    /// seeding left unresolved from `from`, a resolution with the same
+    /// packing inputs.
+    fn carry(&mut self, from: &Resolution, frames: &[bool]) {
+        for (j, _) in frames.iter().enumerate().filter(|(_, &keep)| keep) {
+            if self.tables.packed[j].is_none() {
+                self.carried[j] = from.packed[j].clone().zip(from.outer[j].clone());
+            }
+        }
+    }
+
+    /// Moves a carried packing of `spec.frames[j]` into the tables,
+    /// counting it towards `packing_ops` where a rebuild would count.
+    fn take_carried(&mut self, j: usize) {
+        if let Some((hem, outer)) = self.carried[j].take() {
+            self.config.local.recorder.add(Counter::PackingOps, 1);
+            self.tables.outer[j] = Some(self.replayed(&outer));
+            self.tables.packed[j] = Some(hem);
         }
     }
 
@@ -971,6 +1012,7 @@ impl<'a> Resolver<'a> {
     /// analysis sees it: the packed outer stream, SEM-fitted under
     /// [`AnalysisMode::FlatSem`].
     fn analysis_outer(&mut self, j: usize) -> Result<ModelRef, SystemError> {
+        self.take_carried(j);
         if let Some(m) = &self.tables.outer[j] {
             return Ok(m.model());
         }
@@ -1091,6 +1133,7 @@ impl<'a> Resolver<'a> {
 
     /// The packed HEM of `spec.frames[j]`.
     fn packed_hem(&mut self, j: usize) -> Result<Arc<HierarchicalEventModel>, SystemError> {
+        self.take_carried(j);
         if let Some(h) = &self.tables.packed[j] {
             return Ok(h.clone());
         }

@@ -23,8 +23,10 @@
 //! [`analyze_incremental`](crate::analyze_incremental()) stays small.
 //! Every candidate first faces the cheap **necessary tests** of
 //! [`hem_analysis::necessary`] (utilization bound, η⁺ burst load, EDF
-//! demand bound); only admitted candidates pay for a full fixed point,
-//! chained through per-packing [`WarmStart`] snapshots.
+//! demand bound), which are blind to priorities and so run once per
+//! packing × period combination; only admitted candidates pay for a
+//! full fixed point, chained through per-packing [`WarmStart`]
+//! snapshots.
 //!
 //! # Determinism
 //!
@@ -1206,41 +1208,55 @@ fn candidate_spec(
 }
 
 /// Evaluates one chunk sequentially, chaining warm snapshots.
+///
+/// The necessary tests run once per period combination: a
+/// [`LoadTask`] carries no priority and every test holds under every
+/// priority order (`hem_analysis::necessary`), so the candidates of one
+/// combination, which differ only in priorities, share its verdict, and
+/// a pruned one gets no spec built.
 fn evaluate(
     problem: &ExploreProblem,
     config: &SystemConfig,
-    chunk: Chunk,
+    mut chunk: Chunk,
 ) -> Result<Vec<CandidateReport>, SystemError> {
-    let mut reports = Vec::new();
+    let candidates = std::mem::take(&mut chunk.candidates);
+    let mut reports = Vec::with_capacity(candidates.len());
+    let unanalyzed = |config, verdict| CandidateReport {
+        config,
+        verdict,
+        worst_task_response: None,
+        response_times: None,
+        warm: false,
+        cone_fraction: None,
+    };
     if let Some(reason) = &chunk.invalid {
-        for candidate in &chunk.candidates {
-            reports.push(CandidateReport {
-                config: candidate.clone(),
-                verdict: Verdict::InvalidPacking(reason.clone()),
-                worst_task_response: None,
-                response_times: None,
-                warm: false,
-                cone_fraction: None,
-            });
+        for candidate in candidates {
+            reports.push(unanalyzed(
+                candidate,
+                Verdict::InvalidPacking(reason.clone()),
+            ));
         }
         return Ok(reports);
     }
     let mut chain: Option<WarmStart> = None;
-    for candidate in &chunk.candidates {
-        let spec = candidate_spec(problem, &chunk, candidate);
+    // The last tested period combination and its shared verdict.
+    let mut tested: Option<Vec<(String, Time)>> = None;
+    let mut pruned_by = None;
+    for candidate in candidates {
+        let mut spec = None;
         if problem.use_necessary_tests {
-            if let Some(test) = prune_reason(&spec, &problem.deadlines, &config.local) {
-                reports.push(CandidateReport {
-                    config: candidate.clone(),
-                    verdict: Verdict::Pruned(test),
-                    worst_task_response: None,
-                    response_times: None,
-                    warm: false,
-                    cone_fraction: None,
-                });
+            if tested.as_ref() != Some(&candidate.periods) {
+                let built = candidate_spec(problem, &chunk, &candidate);
+                pruned_by = prune_reason(&built, &problem.deadlines, &config.local);
+                tested = Some(candidate.periods.clone());
+                spec = Some(built);
+            }
+            if let Some(test) = pruned_by {
+                reports.push(unanalyzed(candidate, Verdict::Pruned(test)));
                 continue;
             }
         }
+        let spec = spec.unwrap_or_else(|| candidate_spec(problem, &chunk, &candidate));
         let outcome = analyze_incremental(&spec, config, chain.as_ref())?;
         let warm = outcome.reuse.warm;
         let cone = outcome.reuse.cone_fraction();
@@ -1277,7 +1293,7 @@ fn evaluate(
             }
         };
         reports.push(CandidateReport {
-            config: candidate.clone(),
+            config: candidate,
             verdict,
             worst_task_response: Some(worst),
             response_times: Some(results.response_times()),
@@ -1378,6 +1394,65 @@ task b cpu=c cet=10 prio=2 deadline=200 activation=periodic:200
         assert_eq!(outcome.best, Some(0));
         assert_eq!(outcome.feasible, 1);
         assert!(outcome.reports[0].config.is_default);
+    }
+
+    /// On the tight 10x Fig. 2 family, the verdict a period combination
+    /// shares equals a fresh run of the necessary tests on each
+    /// candidate's own spec, and every analysed candidate's response
+    /// times, reached through the warm chain, equal a cold robust
+    /// analysis of its spec.
+    #[test]
+    fn shared_verdicts_and_chained_results_match_per_candidate_runs() {
+        let text = include_str!("../../bench/scenarios/fig2_tight10x.hem");
+        let scenario = crate::dsl::parse_scenario(text).expect("parses");
+        let config = SystemConfig::new(AnalysisMode::Hierarchical).with_threads(1);
+        for seed in [0, 5] {
+            let mut problem = ExploreProblem::from_scenario(&scenario, seed);
+            problem.period_choices = vec![PeriodChoice {
+                site: PeriodSite::Task("T1".into()),
+                periods: vec![Time::new(2500), Time::new(700), Time::new(600)],
+            }];
+            let outcome = explore(&problem, &config).expect("explores");
+            let chunks = enumerate(&problem, &config).expect("enumerates");
+            let candidates: Vec<(&Chunk, &CandidateConfig)> = chunks
+                .iter()
+                .flat_map(|chunk| chunk.candidates.iter().map(move |c| (chunk, c)))
+                .collect();
+            assert_eq!(candidates.len(), outcome.reports.len());
+            let (mut pruned, mut analyzed) = (0, 0);
+            for ((chunk, candidate), report) in candidates.into_iter().zip(&outcome.reports) {
+                assert_eq!(candidate.orders, report.config.orders);
+                assert_eq!(candidate.periods, report.config.periods);
+                if chunk.invalid.is_some() {
+                    continue;
+                }
+                let spec = candidate_spec(&problem, chunk, candidate);
+                match (
+                    &report.verdict,
+                    prune_reason(&spec, &problem.deadlines, &config.local),
+                ) {
+                    (Verdict::Pruned(shared), Some(own)) => {
+                        assert_eq!(*shared, own);
+                        pruned += 1;
+                    }
+                    (Verdict::Pruned(_), None) | (_, Some(_)) => {
+                        panic!("seed {seed}: shared verdict {:?} differs", report.verdict)
+                    }
+                    (_, None) => {
+                        let cold = crate::analyze_robust(&spec, &config).expect("valid");
+                        assert_eq!(
+                            report.response_times.as_ref(),
+                            Some(&cold.results.response_times())
+                        );
+                        analyzed += 1;
+                    }
+                }
+            }
+            assert!(
+                pruned > 0 && analyzed > 0,
+                "seed {seed}: both verdict kinds"
+            );
+        }
     }
 
     #[test]

@@ -742,6 +742,15 @@ impl Topology {
         &self.signal_wires[self.frame_signals(j)]
     }
 
+    /// Whether every signal of `spec.frames[j]` reads an external model:
+    /// its packing (Def. 8 reads only the signal streams) then depends
+    /// on nothing the fixed point changes.
+    pub(crate) fn external_fed(&self, j: usize) -> bool {
+        self.frame_signal_wires(j)
+            .iter()
+            .all(|w| matches!(w, Wire::External))
+    }
+
     /// The external-model slots of `spec.tasks[i]`'s activation.
     pub(crate) fn task_externals(&self, i: usize) -> std::ops::Range<usize> {
         self.externals[i]..self.externals[i + 1]

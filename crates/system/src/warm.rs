@@ -324,6 +324,11 @@ pub struct IncrementalOutcome {
 /// are **bit-for-bit identical** to a from-scratch run, at every thread
 /// count.
 ///
+/// Inside the cone, a frame fed only by external models whose source
+/// `Arc`s, transfers, type, payload and format are unchanged keeps its
+/// recorded packing and outer stream: a priority or bus bit-time change
+/// retimes its bus without repacking it.
+///
 /// When the diff proves names, hosting and wiring unchanged, the run
 /// also reuses the snapshot's topology instead of re-validating the
 /// spec and re-deriving its graph: only the changed frames' wire
@@ -448,6 +453,9 @@ fn plan<'w>(
         clean_cpus: (0..topology.cpus.len())
             .map(|c| !cone[topology.cpu_resource(c)])
             .collect(),
+        kept_packings: (delta.same_packings.iter().enumerate())
+            .map(|(j, &same)| same && topology.external_fed(j))
+            .collect(),
         snapshot,
     };
     let dirty = topology
@@ -479,6 +487,10 @@ struct Delta {
     /// Frames whose payload size or identifier format changed, in spec
     /// order: the values a reused topology must check again.
     reframed: Vec<usize>,
+    /// Whether the packing inputs of `spec.frames[j]` — source models,
+    /// transfers, type, payload and format, but not its priority — are
+    /// the snapshot's.
+    same_packings: Vec<bool>,
 }
 
 impl Delta {
@@ -545,8 +557,14 @@ fn diff(topology: &Topology, old: &Fingerprint, spec: &SystemSpec) -> Option<Del
         if topology.frames.get(j) != f.name || topology.buses.get(bus) != f.bus {
             return None;
         }
+        // A priority retimes the bus but leaves the packing (Def. 8)
+        // as it was: `change` tracks the packing inputs alone.
         let values = old.frames[j];
-        let mut change = if values == FrameValues::of(f) {
+        let repriced = FrameValues {
+            priority: values.priority,
+            ..FrameValues::of(f)
+        };
+        let mut change = if values == repriced {
             Change::Same
         } else {
             Change::Retimed
@@ -577,6 +595,10 @@ fn diff(topology: &Topology, old: &Fingerprint, spec: &SystemSpec) -> Option<Del
                     &mut slot,
                 ));
             }
+        }
+        delta.same_packings.push(change == Change::Same);
+        if values.priority != f.priority {
+            change = change.max(Change::Retimed);
         }
         delta.note(change, bus);
     }

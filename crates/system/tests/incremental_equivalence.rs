@@ -810,3 +810,153 @@ fn warm_resolution_is_cone_proportional() {
         "a one-replica edit lifts one replica's models"
     );
 }
+
+/// One bus of three external-fed frames (one with a pending signal)
+/// and a CPU receiving four of their signals.
+fn one_bus_spec() -> SystemSpec {
+    let periodic = |p: i64| {
+        ActivationSpec::External(
+            StandardEventModel::periodic(Time::new(p))
+                .expect("valid")
+                .shared(),
+        )
+    };
+    let signal = |name: &str, transfer, period| SignalSpec {
+        name: name.into(),
+        transfer,
+        source: periodic(period),
+    };
+    let frame = |name: &str, prio: u32, signals| FrameSpec {
+        name: name.into(),
+        bus: "can".into(),
+        frame_type: FrameType::Direct,
+        payload_bytes: 4,
+        format: FrameFormat::Standard,
+        priority: Priority::new(prio),
+        signals,
+    };
+    let receiver = |name: &str, frame: &str, signal: &str, wcet: i64, prio: u32| TaskSpec {
+        name: name.into(),
+        cpu: "ecu".into(),
+        bcet: Time::new(wcet),
+        wcet: Time::new(wcet),
+        priority: Priority::new(prio),
+        activation: ActivationSpec::Signal {
+            frame: frame.into(),
+            signal: signal.into(),
+        },
+    };
+    use TransferProperty::{Pending, Triggering};
+    SystemSpec::new()
+        .cpu("ecu")
+        .bus("can", CanBusConfig::new(Time::new(1)))
+        .frame(frame(
+            "F0",
+            1,
+            vec![signal("a", Triggering, 2_000), signal("b", Pending, 3_000)],
+        ))
+        .frame(frame("F1", 2, vec![signal("c", Triggering, 2_500)]))
+        .frame(frame(
+            "F2",
+            3,
+            vec![
+                signal("d", Triggering, 4_000),
+                signal("e", Triggering, 5_000),
+            ],
+        ))
+        .task(receiver("ra", "F0", "a", 300, 1))
+        .task(receiver("rb", "F0", "b", 400, 2))
+        .task(receiver("rc", "F1", "c", 200, 3))
+        .task(receiver("rd", "F2", "d", 250, 4))
+}
+
+/// Analyses `edited` warm from a snapshot of `base` and cold, asserts
+/// the two agree bit for bit, and returns how many frame outer streams
+/// the warm run did not lift again. The bus and the CPU are in every
+/// edit's damage cone, so both runs lift the same receiver models; a
+/// cold run lifts each external-fed frame's outer stream once (later
+/// iterations carry it), and a warm run only those it repacks.
+fn outer_lifts_saved(base: &SystemSpec, edited: &SystemSpec, label: &str) -> u64 {
+    let config = |handle| {
+        SystemConfig::new(AnalysisMode::Hierarchical)
+            .with_recorder(handle)
+            .with_analytic(Some(true))
+    };
+    let first = analyze_incremental(base, &SystemConfig::new(AnalysisMode::Hierarchical), None)
+        .expect("well-formed");
+    let snapshot = first.snapshot.expect("converged");
+    let (recorder, handle) = MemoryRecorder::handle();
+    let outcome = analyze_incremental(edited, &config(handle), Some(&snapshot)).expect("valid");
+    let warm = Run {
+        outcome,
+        snapshot: recorder.snapshot(),
+    };
+    let (recorder, handle) = MemoryRecorder::handle();
+    let cold = Run {
+        outcome: analyze_robust(edited, &config(handle)).expect("well-formed"),
+        snapshot: recorder.snapshot(),
+    };
+    assert!(warm.outcome.reuse.warm, "{label}: warm reuse");
+    assert_eq!(
+        warm.outcome.reuse.dirty_resources,
+        ["bus:can", "cpu:ecu"],
+        "{label}: cone"
+    );
+    assert!(cold.outcome.results.is_complete(), "{label}: converges");
+    assert!(cold.outcome.results.iterations() >= 2, "{label}: iterates");
+    assert_matches_cold(edited, &warm, &cold, label);
+    assert_eq!(counter(&cold, "analytic_fallbacks"), 0, "{label}: lifts");
+    // Carried packings still count once per iteration.
+    assert_eq!(
+        counter(&cold, "packing_ops"),
+        edited.frames.len() as u64 * cold.outcome.results.iterations(),
+        "{label}: packing_ops"
+    );
+    counter(&cold, "analytic_lifts") - counter(&warm, "analytic_lifts")
+}
+
+/// A priority or bus bit-time change touches no packing input (Def. 8
+/// reads only the signal streams): every frame keeps its packing and
+/// lifted outer stream, and the results are the cold run's.
+#[test]
+fn priority_and_bit_time_edits_keep_every_packing() {
+    let base = one_bus_spec();
+    let mut repriced = base.clone();
+    repriced.frames[0].priority = Priority::new(2);
+    repriced.frames[1].priority = Priority::new(1);
+    repriced.tasks[0].priority = Priority::new(2);
+    repriced.tasks[1].priority = Priority::new(1);
+    assert_eq!(outer_lifts_saved(&base, &repriced, "priorities"), 3);
+    let mut slower = base.clone();
+    slower.buses[0].config = CanBusConfig::new(Time::new(2));
+    assert_eq!(outer_lifts_saved(&base, &slower, "bit time"), 3);
+}
+
+/// A change to a packing input repacks exactly the frame it touches.
+#[test]
+fn packing_input_edits_repack_only_their_frame() {
+    let base = one_bus_spec();
+    let mut edits: Vec<(&str, SystemSpec)> = Vec::new();
+    let mut source = base.clone();
+    source.frames[1].signals[0].source = ActivationSpec::External(
+        StandardEventModel::periodic(Time::new(2_200))
+            .expect("valid")
+            .shared(),
+    );
+    edits.push(("new source", source));
+    let mut transfer = base.clone();
+    transfer.frames[2].signals[1].transfer = TransferProperty::Pending;
+    edits.push(("transfer", transfer));
+    let mut payload = base.clone();
+    payload.frames[0].payload_bytes = 6;
+    edits.push(("payload", payload));
+    let mut format = base.clone();
+    format.frames[2].format = FrameFormat::Extended;
+    edits.push(("format", format));
+    let mut kind = base.clone();
+    kind.frames[1].frame_type = FrameType::Mixed(Time::new(3_000));
+    edits.push(("frame type", kind));
+    for (label, edited) in &edits {
+        assert_eq!(outer_lifts_saved(&base, edited, label), 2, "{label}");
+    }
+}
