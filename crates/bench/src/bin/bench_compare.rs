@@ -219,9 +219,9 @@ struct Delta {
 }
 
 /// Downgrades a field to [`Class::Informational`] when its path
-/// contains any of the `--ignore` substrings (e.g. `--ignore cache_`
-/// for the CI analytic-vs-generic differential leg, where the lifted
-/// path legitimately does less cache work).
+/// contains any of the `--ignore` substrings (e.g. `--ignore analytic_`
+/// for the CI analytic-vs-generic differential leg, where only the
+/// lifted path attempts lifts).
 fn effective_class(path: &str, ignores: &[String]) -> Class {
     if ignores.iter().any(|s| path.contains(s.as_str())) {
         Class::Informational
@@ -625,8 +625,8 @@ fn main() -> ExitCode {
     // any field whose flattened path contains one of the substrings is
     // downgraded to Informational (reported, never gated). The CI
     // analytic differential leg relies on this to diff the generic
-    // against the lifted profile while excusing the cache-work
-    // counters the fast path legitimately eliminates.
+    // against the lifted profile while excusing the lift/fallback
+    // tallies, which only the lifted path records.
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut ignores: Vec<String> = Vec::new();
     let mut args: Vec<String> = Vec::new();

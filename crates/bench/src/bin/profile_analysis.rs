@@ -492,18 +492,16 @@ fn main() {
     println!("profile of the paper system (Fig. 2 / Table 3)");
     println!();
     println!(
-        "{:<14} {:>9} {:>6} {:>10} {:>10} {:>10} {:>9}",
-        "phase", "wall ms", "iters", "busy iters", "cache hit", "cache miss", "packings"
+        "{:<14} {:>9} {:>6} {:>10} {:>9}",
+        "phase", "wall ms", "iters", "busy iters", "packings"
     );
     for phase in &phases {
         println!(
-            "{:<14} {:>9.3} {:>6} {:>10} {:>10} {:>10} {:>9}",
+            "{:<14} {:>9.3} {:>6} {:>10} {:>9}",
             phase.name,
             phase.wall_ms,
             phase.iterations,
             phase.metrics.counter(Counter::BusyWindowIterations),
-            phase.metrics.counter(Counter::CacheHits),
-            phase.metrics.counter(Counter::CacheMisses),
             phase.metrics.counter(Counter::PackingOps),
         );
     }

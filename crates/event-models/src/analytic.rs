@@ -1402,23 +1402,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_model_delegates_lift() {
-        let or = OrJoin::new(vec![
-            StandardEventModel::periodic(Time::new(250))
-                .unwrap()
-                .shared(),
-            StandardEventModel::periodic(Time::new(450))
-                .unwrap()
-                .shared(),
-        ])
-        .unwrap()
-        .shared();
-        let cached = crate::CachedModel::new(or.clone());
-        let a = cached.analytic().expect("cache delegates to inner");
-        assert_equiv(&a, &or, 40, 2_000);
-    }
-
-    #[test]
     fn lift_helper_works_on_model_refs() {
         let m: ModelRef = StandardEventModel::periodic(Time::new(100))
             .unwrap()

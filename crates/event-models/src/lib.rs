@@ -55,7 +55,6 @@
 pub mod analytic;
 pub mod approx;
 mod burst;
-mod cache;
 pub mod convert;
 mod curve;
 mod error;
@@ -69,7 +68,6 @@ use std::sync::Arc;
 
 pub use analytic::{AnalyticCurve, PlusCombine};
 pub use burst::PeriodicBurstModel;
-pub use cache::CachedModel;
 pub use curve::{CurveBuilder, CurveModel};
 pub use error::ModelError;
 pub use standard::{SporadicModel, StandardEventModel};

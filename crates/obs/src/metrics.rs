@@ -15,14 +15,15 @@ pub enum Counter {
     GlobalIterations,
     /// Busy-window fixed-point iterations across all local analyses.
     BusyWindowIterations,
-    /// δ±/η± curve evaluations answered by instrumented models.
+    /// No longer recorded: it counted the queries of the engine's
+    /// former curve memo. Event models are now queried directly; the
+    /// name stays for readers of exported metrics.
     CurveEvaluations,
-    /// Memoized curve queries answered from a [`CachedModel`] cache.
-    ///
-    /// [`CachedModel`]: https://docs.rs/hem-event-models
+    /// No longer recorded (see [`Counter::CurveEvaluations`]): the
+    /// former curve memo's hits.
     CacheHits,
-    /// Curve queries that missed the cache and recursed into the
-    /// wrapped model.
+    /// No longer recorded (see [`Counter::CurveEvaluations`]): the
+    /// former curve memo's misses.
     CacheMisses,
     /// Invocations of the COM packing operator (frame HEM assembly).
     PackingOps,
@@ -80,8 +81,8 @@ pub enum Counter {
     /// analytic curve (one per model per sequential resolution; see
     /// `docs/CURVES.md`).
     AnalyticLifts,
-    /// Resolved event models with no exact analytic lift that stayed on
-    /// the generic memoized path while the fast path was enabled.
+    /// Resolved event models with no exact analytic lift, queried
+    /// directly on the generic path while the fast path was enabled.
     AnalyticFallbacks,
     /// Candidate configurations enumerated by the exploration engine
     /// (every candidate counts, including pruned and invalid ones; see

@@ -15,7 +15,7 @@ use hem_autosar_com::{ComFrame, Signal};
 use hem_can::{BusFrame, CanFrameConfig};
 use hem_core::HierarchicalEventModel;
 use hem_event_models::ops::OutputModel;
-use hem_event_models::{approx, AnalyticCurve, CachedModel, EventModelExt, ModelRef};
+use hem_event_models::{approx, AnalyticCurve, EventModelExt, ModelRef};
 use hem_obs::Counter;
 use hem_time::Time;
 
@@ -105,42 +105,20 @@ pub fn analyze_robust(
     run_with(spec, config, &topology, None, false).map(|(analysis, _, _)| analysis)
 }
 
-/// A resolved activation or outer stream, typed by how a warm start may
-/// reuse it in a later run.
-#[derive(Debug, Clone)]
-pub(crate) enum Resolved {
-    /// A closed-form lift: immutable, shared as-is.
-    Lifted(Arc<AnalyticCurve>),
-    /// A memoizing wrapper that reports to its run's recorder: a replay
-    /// forks it onto the replaying run's recorder.
-    Cached(Arc<CachedModel>),
-    /// Any other model (SEM fits): shared as-is.
-    Plain(ModelRef),
-}
-
-impl Resolved {
-    fn model(&self) -> ModelRef {
-        match self {
-            Resolved::Lifted(curve) => curve.clone(),
-            Resolved::Cached(cached) => cached.clone(),
-            Resolved::Plain(model) => model.clone(),
-        }
-    }
-}
-
 /// One global iteration's resolved models, indexed by spec position:
 /// the resolver's memo tables, moved out when the iteration completes.
 /// A slot is `None` when nothing resolved it that iteration (a frame
 /// whose processed HEM no one consumed) — and, in a capture, for every
-/// processed HEM but the converged iteration's.
+/// processed HEM but the converged iteration's. Every model is
+/// immutable, so a later iteration or run reuses one as an `Arc` clone.
 #[derive(Debug)]
 pub(crate) struct Resolution {
     /// Activation model of `spec.tasks[i]`.
-    pub(crate) tasks: Vec<Option<Resolved>>,
+    pub(crate) tasks: Vec<Option<ModelRef>>,
     /// Packed HEM of `spec.frames[j]`.
     packed: Vec<Option<Arc<HierarchicalEventModel>>>,
     /// Analysis outer stream of `spec.frames[j]`.
-    outer: Vec<Option<Resolved>>,
+    outer: Vec<Option<ModelRef>>,
     /// Processed HEM of `spec.frames[j]`.
     processed: Vec<Option<Arc<HierarchicalEventModel>>>,
 }
@@ -329,7 +307,7 @@ impl IterationAccum {
 /// One global iteration's local analyses, in propagation-level order.
 ///
 /// Each level of the propagation graph first resolves (activation
-/// models, packings, shared curve caches — in spec order), then
+/// models, packings and analytic lifts — in spec order), then
 /// analyses every entity of the level in canonical order: every frame
 /// of every bus, then every task of every CPU.
 ///
@@ -584,10 +562,7 @@ fn stopped(
         .and_then(|k| topology.host(topology.entities[k]))
         .map(|r| topology.resource_key(r).to_string());
     let inputs = resolution.map_or_else(Vec::new, |r| {
-        topology
-            .by_entity(&r.outer, &r.tasks)
-            .map(|slot| slot.as_ref().map(Resolved::model))
-            .collect()
+        topology.by_entity(&r.outer, &r.tasks).cloned().collect()
     });
     let results = trajectory
         .last()
@@ -701,10 +676,6 @@ pub(crate) fn run_with(
             (None, None) => {}
         }
         let iteration_outcome = run_iteration(&mut resolver, spec, config, warm_iter.as_ref());
-        // Flush the shared curve caches' buffered hit/miss counters at a
-        // deterministic point, in cache-creation order — never from a
-        // late `Drop`.
-        resolver.flush_caches();
         drop(iter_span);
         let acc = match iteration_outcome {
             Ok(acc) => acc,
@@ -744,9 +715,6 @@ pub(crate) fn run_with(
                     unpacked.extend(f.signals.iter().map(|s| processed.unpack_by_name(&s.name)));
                 }
             }
-            // Assembly may have touched caches (e.g. a frame no task
-            // consumes): flush again before the results escape.
-            resolver.flush_caches();
             let captured = capture.then(|| {
                 push_resolution(&mut resolutions, resolver.tables, true);
                 resolutions
@@ -849,13 +817,9 @@ struct Resolver<'a> {
     /// Packings (with their outer streams) carried from an earlier
     /// iteration or run, moved into the tables where this iteration
     /// would otherwise build them.
-    carried: Vec<Option<(Arc<HierarchicalEventModel>, Resolved)>>,
+    carried: Vec<Option<(Arc<HierarchicalEventModel>, ModelRef)>>,
     visiting_tasks: Vec<bool>,
     visiting_frames: Vec<bool>,
-    /// Every shared curve cache created (or forked) this iteration, in
-    /// creation order — the engine flushes their buffered hit/miss
-    /// counters at deterministic points.
-    caches: Vec<Arc<CachedModel>>,
     /// Whether resolved models are swapped for closed-form analytic
     /// curves (resolved once per iteration from the config).
     analytic: bool,
@@ -884,7 +848,6 @@ impl<'a> Resolver<'a> {
             carried: vec![None; spec.frames.len()],
             visiting_tasks: vec![false; spec.tasks.len()],
             visiting_frames: vec![false; spec.frames.len()],
-            caches: Vec::new(),
             analytic: config.analytic_enabled(),
             curves,
         }
@@ -895,22 +858,20 @@ impl<'a> Resolver<'a> {
     /// models are bit-identical to what resolution would rebuild, so
     /// the iteration never resolves, lifts, or packs them; dirty
     /// resources read them from the tables like any resolved model.
-    /// Memoizing wrappers are forked onto this run's recorder, so their
-    /// cache traffic is this run's; everything else is shared.
     fn seed(&mut self, warm: &WarmIteration<'_>) {
         let record = warm.replay.resolution;
         let topology = self.topology;
         let clean_cpus = topology.cpu_tasks.iter().zip(&warm.plan.clean_cpus);
         for (tasks, _) in clean_cpus.filter(|(_, &clean)| clean) {
             for &i in tasks {
-                self.tables.tasks[i] = record.tasks[i].as_ref().map(|r| self.replayed(r));
+                self.tables.tasks[i] = record.tasks[i].clone();
             }
         }
         let clean_buses = topology.bus_frames.iter().zip(&warm.plan.clean_buses);
         for (frames, _) in clean_buses.filter(|(_, &clean)| clean) {
             for &j in frames {
                 self.tables.packed[j] = record.packed[j].clone();
-                self.tables.outer[j] = record.outer[j].as_ref().map(|r| self.replayed(r));
+                self.tables.outer[j] = record.outer[j].clone();
                 self.tables.processed[j] = record.processed[j].clone();
             }
         }
@@ -932,19 +893,8 @@ impl<'a> Resolver<'a> {
     fn take_carried(&mut self, j: usize) {
         if let Some((hem, outer)) = self.carried[j].take() {
             self.config.local.recorder.add(Counter::PackingOps, 1);
-            self.tables.outer[j] = Some(self.replayed(&outer));
+            self.tables.outer[j] = Some(outer);
             self.tables.packed[j] = Some(hem);
-        }
-    }
-
-    /// A recorded model as this run uses it.
-    fn replayed(&mut self, recorded: &Resolved) -> Resolved {
-        match recorded {
-            Resolved::Cached(cached) => {
-                let fork = cached.fork(self.config.local.recorder.clone());
-                Resolved::Cached(self.cache(fork))
-            }
-            shared => shared.clone(),
         }
     }
 
@@ -961,50 +911,32 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    /// Returns the closed-form analytic curve of `model` when an exact
-    /// lift exists (see `docs/CURVES.md`). Results are bit-for-bit
-    /// identical either way — the lift only changes how queries are
-    /// answered. Runs during resolution, in spec order, so the lift /
-    /// fallback tallies are deterministic. Call
-    /// sites skip the memoizing cache wrapper for a lifted curve: it
-    /// already answers every query with an O(1) head lookup, and a
-    /// hash-and-lock layer on top of that only costs time. A curve equal
-    /// to one lifted earlier in the run comes back as that allocation.
-    fn analytic_lift(&mut self, model: &ModelRef) -> Option<Arc<AnalyticCurve>> {
+    /// `model`, or its closed-form analytic curve when an exact lift
+    /// exists (see `docs/CURVES.md`). Results are bit-for-bit identical
+    /// either way — the lift only changes how queries are answered. A
+    /// refused model is queried directly. Runs during resolution, in
+    /// spec order, so the lift / fallback tallies are deterministic. A
+    /// curve equal to one lifted earlier in the run comes back as that
+    /// allocation.
+    fn lifted(&mut self, model: ModelRef) -> ModelRef {
         if !self.analytic {
-            return None;
+            return model;
         }
         let recorder = &self.config.local.recorder;
         match model.analytic() {
             Some(curve) => {
                 recorder.add(Counter::AnalyticLifts, 1);
                 if let Some(shared) = self.curves.get(&curve) {
-                    return Some(shared.clone());
+                    return shared.clone();
                 }
                 let curve = Arc::new(curve);
                 self.curves.insert(curve.clone());
-                Some(curve)
+                curve
             }
             None => {
                 recorder.add(Counter::AnalyticFallbacks, 1);
-                None
+                model
             }
-        }
-    }
-
-    /// Registers a shared curve cache for the deterministic counter
-    /// flush and returns it.
-    fn cache(&mut self, cached: CachedModel) -> Arc<CachedModel> {
-        let cached = Arc::new(cached);
-        self.caches.push(cached.clone());
-        cached
-    }
-
-    /// Flushes every curve cache's buffered hit/miss counters to the
-    /// recorder, in cache-creation order.
-    fn flush_caches(&self) {
-        for cache in &self.caches {
-            cache.flush_recorded();
         }
     }
 
@@ -1014,31 +946,18 @@ impl<'a> Resolver<'a> {
     fn analysis_outer(&mut self, j: usize) -> Result<ModelRef, SystemError> {
         self.take_carried(j);
         if let Some(m) = &self.tables.outer[j] {
-            return Ok(m.model());
+            return Ok(m.clone());
         }
         let outer = self.packed_hem(j)?.flatten();
-        let lifted = self.analytic_lift(&outer);
-        let resolved = match (self.config.mode, lifted) {
-            (AnalysisMode::FlatSem, lifted) => {
-                let outer = lifted.map_or(outer, |curve| curve as ModelRef);
-                Resolved::Plain(
-                    approx::sem_approximation(outer.as_ref(), self.config.sem_fit_horizon)?
-                        .shared(),
-                )
+        let outer = self.lifted(outer);
+        let outer = match self.config.mode {
+            AnalysisMode::FlatSem => {
+                approx::sem_approximation(outer.as_ref(), self.config.sem_fit_horizon)?.shared()
             }
-            // Lifted streams skip the cache: every query is already an
-            // O(1) lookup.
-            (_, Some(curve)) => Resolved::Lifted(curve),
-            // Busy-window iterations hammer the same η⁺/δ⁻ queries on
-            // the lazy OR-join: memoize.
-            (_, None) => {
-                let recorder = self.config.local.recorder.clone();
-                Resolved::Cached(self.cache(CachedModel::recorded(outer, recorder)))
-            }
+            AnalysisMode::Flat | AnalysisMode::Hierarchical => outer,
         };
-        let model = resolved.model();
-        self.tables.outer[j] = Some(resolved);
-        Ok(model)
+        self.tables.outer[j] = Some(outer.clone());
+        Ok(outer)
     }
 
     /// The previous iteration's response time of `spec.tasks[i]` (zero
@@ -1107,7 +1026,7 @@ impl<'a> Resolver<'a> {
     /// The activation model of `spec.tasks[i]`.
     fn task_activation(&mut self, i: usize) -> Result<ModelRef, SystemError> {
         if let Some(m) = &self.tables.tasks[i] {
-            return Ok(m.model());
+            return Ok(m.clone());
         }
         let task = &self.spec.tasks[i];
         if std::mem::replace(&mut self.visiting_tasks[i], true) {
@@ -1116,19 +1035,10 @@ impl<'a> Resolver<'a> {
             });
         }
         let resolved = self.resolve_source(&self.topology.task_wires[i], &task.activation)?;
-        let resolved = match self.analytic_lift(&resolved) {
-            Some(curve) => Resolved::Lifted(curve),
-            // Memoized: CPU busy windows evaluate the activation stream
-            // many times per fixed-point iteration.
-            None => {
-                let recorder = self.config.local.recorder.clone();
-                Resolved::Cached(self.cache(CachedModel::recorded(resolved, recorder)))
-            }
-        };
+        let resolved = self.lifted(resolved);
         self.visiting_tasks[i] = false;
-        let model = resolved.model();
-        self.tables.tasks[i] = Some(resolved);
-        Ok(model)
+        self.tables.tasks[i] = Some(resolved.clone());
+        Ok(resolved)
     }
 
     /// The packed HEM of `spec.frames[j]`.

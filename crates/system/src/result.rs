@@ -124,8 +124,8 @@ impl SystemConfig {
     }
 
     /// This configuration reporting to the given recorder (global
-    /// iterations, every local busy window, and every event-model
-    /// cache).
+    /// iterations, every local busy window, packings, and analytic
+    /// lifts and fallbacks).
     #[must_use]
     pub fn with_recorder(mut self, recorder: RecorderHandle) -> Self {
         self.local.recorder = recorder;

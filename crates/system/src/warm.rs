@@ -27,7 +27,7 @@
 //! `incremental_equivalence` suite. The same argument covers the
 //! resolved models: an entity outside the cone resolves to models equal
 //! to the recorded ones. Only *work* counters (busy-window iterations,
-//! analytic lifts and fallbacks, curve-cache traffic) shrink; see
+//! analytic lifts and fallbacks) shrink; see
 //! `docs/INCREMENTAL.md` for the exact equality contract.
 //!
 //! # Fallbacks
@@ -676,7 +676,6 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use crate::engine::Resolved;
     use crate::spec::SignalSpec;
     use hem_event_models::{EventModelExt, StandardEventModel};
 
@@ -975,9 +974,9 @@ mod tests {
         let config = SystemConfig::new(AnalysisMode::Hierarchical).with_analytic(Some(true));
         let run = analyze_incremental(&spec, &config, None).expect("well-formed");
         let snapshot = run.snapshot.expect("converged run snapshots");
-        let curve = |iteration: usize, i: usize| match &snapshot.resolutions[iteration].tasks[i] {
-            Some(Resolved::Lifted(curve)) => Arc::clone(curve),
-            other => panic!("task {i} is not lifted: {other:?}"),
+        let curve = |iteration: usize, i: usize| {
+            let model = snapshot.resolutions[iteration].tasks[i].as_ref();
+            Arc::clone(model.expect("every task resolves"))
         };
         let last = snapshot.resolutions.len() - 1;
         assert!(last >= 1, "a fixed point needs a confirming iteration");

@@ -6,10 +6,7 @@
 //! convergence trace, and recorder counter totals are bit-for-bit
 //! identical with the fast path forced on and forced off. Only the
 //! `analytic_lifts` / `analytic_fallbacks` tallies (zero when
-//! disabled), the cache *work* counters (`cache_hits` /
-//! `cache_misses` / `curve_evaluations` — the fast path exists
-//! precisely to answer queries without recursing through chained
-//! caches), and wall-clock observations may differ. Within a leg,
+//! disabled) and wall-clock observations may differ. Within a leg,
 //! every counter is identical from run to run.
 
 use std::collections::BTreeMap;
@@ -44,18 +41,11 @@ fn run(spec: &SystemSpec, mode: AnalysisMode, analytic: bool) -> Run {
 }
 
 /// Counter totals minus the fast path's own bookkeeping (zero with the
-/// path disabled, by design) and the cache work counters (a lifted
-/// model answers queries in place instead of recursing through the
-/// generic chain — and through any downstream caches on it — so the
-/// amount of memoization *work* shrinks while every memoized *value*
-/// stays identical).
+/// path disabled, by design).
 fn comparable_counters(snapshot: &hem_obs::MetricsSnapshot) -> BTreeMap<&'static str, u64> {
     let excluded = [
         Counter::AnalyticLifts.name(),
         Counter::AnalyticFallbacks.name(),
-        Counter::CacheHits.name(),
-        Counter::CacheMisses.name(),
-        Counter::CurveEvaluations.name(),
     ];
     snapshot
         .counters
