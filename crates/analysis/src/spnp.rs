@@ -96,33 +96,6 @@ pub fn response_time(
     }
 }
 
-/// Analyses the frame/task at `index` within a complete SPNP task set.
-///
-/// The per-entity entry point of the system engine: every frame of a
-/// bus can be analysed independently given the full lowered task set,
-/// so the engine lowers a bus once and calls this for each frame.
-///
-/// # Panics
-///
-/// Panics if `index` is out of bounds.
-///
-/// # Errors
-///
-/// Same conditions as [`response_time`].
-pub fn analyze_one(
-    tasks: &[AnalysisTask],
-    index: usize,
-    config: &AnalysisConfig,
-) -> Result<TaskResult, AnalysisError> {
-    let others: Vec<AnalysisTask> = tasks
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| j != index)
-        .map(|(_, t)| t.clone())
-        .collect();
-    response_time(&tasks[index], &others, config)
-}
-
 /// Analyses a complete SPNP task set; results are returned in input order.
 ///
 /// # Errors
@@ -134,7 +107,15 @@ pub fn analyze(
     config: &AnalysisConfig,
 ) -> Result<Vec<TaskResult>, AnalysisError> {
     (0..tasks.len())
-        .map(|i| analyze_one(tasks, i, config))
+        .map(|i| {
+            let others: Vec<AnalysisTask> = tasks
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, t)| t.clone())
+                .collect();
+            response_time(&tasks[i], &others, config)
+        })
         .collect()
 }
 

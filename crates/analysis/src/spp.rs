@@ -118,33 +118,6 @@ pub fn response_details(
     }
 }
 
-/// Analyses the task at `index` within a complete SPP task set.
-///
-/// The per-entity entry point of the system engine: every task of a
-/// resource can be analysed independently given the full task set, so
-/// the engine lowers a resource once and calls this for each task.
-///
-/// # Panics
-///
-/// Panics if `index` is out of bounds.
-///
-/// # Errors
-///
-/// Same conditions as [`response_time`].
-pub fn analyze_one(
-    tasks: &[AnalysisTask],
-    index: usize,
-    config: &AnalysisConfig,
-) -> Result<TaskResult, AnalysisError> {
-    let others: Vec<AnalysisTask> = tasks
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| j != index)
-        .map(|(_, t)| t.clone())
-        .collect();
-    response_time(&tasks[index], &others, Time::ZERO, config)
-}
-
 /// Analyses a complete SPP task set; results are returned in input order.
 ///
 /// # Errors
@@ -155,7 +128,15 @@ pub fn analyze(
     config: &AnalysisConfig,
 ) -> Result<Vec<TaskResult>, AnalysisError> {
     (0..tasks.len())
-        .map(|i| analyze_one(tasks, i, config))
+        .map(|i| {
+            let others: Vec<AnalysisTask> = tasks
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, t)| t.clone())
+                .collect();
+            response_time(&tasks[i], &others, Time::ZERO, config)
+        })
         .collect()
 }
 

@@ -83,37 +83,6 @@ impl BusFrame {
     }
 }
 
-/// Lowers every frame on a bus to its generic [`AnalysisTask`].
-///
-/// The lowered set is what the per-frame entry point [`analyze_one`]
-/// (and the system engine's per-frame analyses) share: lowering once
-/// and analysing each frame against the shared set avoids re-deriving
-/// transmission times per frame.
-#[must_use]
-pub fn lower(frames: &[BusFrame], bus: &CanBusConfig) -> Vec<AnalysisTask> {
-    frames.iter().map(|f| f.to_analysis_task(bus)).collect()
-}
-
-/// Analyses the single frame at `index` against all frames on the bus
-/// (SPNP arbitration).
-///
-/// # Panics
-///
-/// Panics if `index` is out of bounds.
-///
-/// # Errors
-///
-/// Propagates [`AnalysisError`] from the underlying SPNP analysis
-/// (duplicate priorities, bus overload).
-pub fn analyze_one(
-    frames: &[BusFrame],
-    index: usize,
-    bus: &CanBusConfig,
-    config: &AnalysisConfig,
-) -> Result<TaskResult, AnalysisError> {
-    spnp::analyze_one(&lower(frames, bus), index, config)
-}
-
 /// Analyses all frames on a CAN bus (SPNP arbitration).
 ///
 /// Returns per-frame worst-case response times in input order; these are
@@ -129,7 +98,8 @@ pub fn analyze(
     bus: &CanBusConfig,
     config: &AnalysisConfig,
 ) -> Result<Vec<TaskResult>, AnalysisError> {
-    spnp::analyze(&lower(frames, bus), config)
+    let tasks: Vec<AnalysisTask> = frames.iter().map(|f| f.to_analysis_task(bus)).collect();
+    spnp::analyze(&tasks, config)
 }
 
 #[cfg(test)]
@@ -177,17 +147,6 @@ mod tests {
         let bus = CanBusConfig::new(Time::new(1));
         let frames = vec![frame("a", 1, 3, 100), frame("b", 1, 3, 100)];
         assert!(analyze(&frames, &bus, &AnalysisConfig::default()).is_err());
-    }
-
-    #[test]
-    fn analyze_one_matches_whole_bus_analysis() {
-        let bus = CanBusConfig::new(Time::new(1));
-        let frames = vec![frame("f1", 4, 1, 250), frame("f2", 2, 2, 400)];
-        let whole = analyze(&frames, &bus, &AnalysisConfig::default()).unwrap();
-        for (i, expected) in whole.iter().enumerate() {
-            let one = analyze_one(&frames, i, &bus, &AnalysisConfig::default()).unwrap();
-            assert_eq!(&one, expected);
-        }
     }
 
     #[test]

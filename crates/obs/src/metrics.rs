@@ -43,8 +43,7 @@ pub enum Counter {
     /// on a cold run or full fallback).
     ConeSize,
     /// Incremental analyses that fell back to a full from-scratch run
-    /// (no usable snapshot, structural change, config change, or
-    /// dependency cycles).
+    /// (no usable snapshot, structural change, or config change).
     FullFallbacks,
     /// Sessions opened on the analysis server (monotone count of
     /// `open` requests that created or recovered a session).

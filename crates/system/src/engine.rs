@@ -5,12 +5,24 @@
 //! component to derive response times and output event streams, which
 //! are then propagated to connected components for the next iteration,
 //! until the response times stop changing.
+//!
+//! One iteration has one resolution path: a lazy, memoizing resolver.
+//! A task's output reads the *previous* iteration's response time, so
+//! the only dependencies within an iteration flow into bus analyses:
+//! packing a frame resolves its signal sources, which may unpack
+//! another frame. The iteration asks for every frame's bus result in
+//! spec order, and a bus analysis first resolves, and so analyses, the
+//! buses its packings read; it then analyses every CPU in spec order.
+//! The resolver's visiting flags report an activation cycle as
+//! [`SystemError::DependencyCycle`] naming the first entity met twice.
+//! A warm start replays a clean resource's recorded models and results
+//! at the point where this order reaches it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hem_analysis::{spnp, spp, AnalysisError, AnalysisTask, ResponseTime, TaskResult};
+use hem_analysis::{spp, AnalysisError, AnalysisTask, ResponseTime, TaskResult};
 use hem_autosar_com::{ComFrame, Signal};
 use hem_can::{BusFrame, CanFrameConfig};
 use hem_core::HierarchicalEventModel;
@@ -20,7 +32,7 @@ use hem_obs::Counter;
 use hem_time::Time;
 
 use crate::diagnostics::{ConvergenceStatus, Diagnostics, StopReason};
-use crate::graph::{Entity, LevelIndex, Topology, Wire};
+use crate::graph::{Entity, Topology, Wire};
 use crate::result::{signal_key, SystemConfig, SystemResults};
 use crate::spec::{ActivationSpec, AnalysisMode, FrameSpec, SystemSpec};
 use crate::warm::Replay;
@@ -270,203 +282,42 @@ impl Track {
     }
 }
 
-/// What one global iteration accumulates: per-frame and per-task
-/// results by spec position, plus the number of per-entity analyses
-/// replayed from a warm-start snapshot instead of being re-run.
-struct IterationAccum {
-    frames: Vec<Option<Record>>,
-    tasks: Vec<Option<Record>>,
-    replayed: u64,
-}
-
-impl IterationAccum {
-    fn new(spec: &SystemSpec) -> Self {
-        IterationAccum {
-            frames: vec![None; spec.frames.len()],
-            tasks: vec![None; spec.tasks.len()],
-            replayed: 0,
-        }
-    }
-
-    /// The completed iteration's results and replay count.
-    fn finish(self) -> (IterationResults, u64) {
-        let complete = |slots: Vec<Option<Record>>| -> Vec<Record> {
-            slots
-                .into_iter()
-                .map(|r| r.expect("a completed iteration analyses every entity"))
-                .collect()
-        };
-        let results = IterationResults {
-            frames: complete(self.frames),
-            tasks: complete(self.tasks),
-        };
-        (results, self.replayed)
-    }
-}
-
-/// One global iteration's local analyses, in propagation-level order.
+/// One global iteration's local analyses, resolving on demand: every
+/// frame's bus result in spec order, then every CPU in spec order (see
+/// the module docs).
 ///
-/// Each level of the propagation graph first resolves (activation
-/// models, packings and analytic lifts — in spec order), then
-/// analyses every entity of the level in canonical order: every frame
-/// of every bus, then every task of every CPU.
+/// With a warm plan, a resource outside the damage cone replays its
+/// recorded results at the point where a cold run analyses it. The
+/// resolver was seeded with its recorded models, so it resolves, lifts
+/// and packs nothing for it. An iteration costs O(damage cone).
 ///
-/// With a warm plan, resources outside the damage cone skip all three
-/// phases' work: the resolver was seeded with their recorded models, so
-/// Phase 1 resolves nothing for them, and Phase 3 copies their recorded
-/// results instead of Phase 2 analyses. An iteration costs O(damage
-/// cone).
-fn run_iteration(
-    resolver: &mut Resolver<'_>,
-    spec: &SystemSpec,
-    config: &SystemConfig,
-    warm: Option<&WarmIteration<'_>>,
-) -> Result<IterationAccum, IterationError> {
-    let topology = resolver.topology;
-    let mut acc = IterationAccum::new(spec);
-
-    for level in &topology.levels {
-        // Deadlines hold inside an iteration too: a warm-started run
-        // replaying thousands of clean entities (or a cold run crawling
-        // through many levels) polls the budget between levels, so
-        // cancellation is cooperative at level granularity, not just
-        // between global iterations.
-        if config.local.budget.exhausted() {
-            return Err(IterationError::Budget);
-        }
-        run_level(resolver, config, level, warm, &mut acc)?;
-    }
-
-    // Resources in a resource-level dependency cycle: the lazy
-    // resolver reports them exactly as a resolve-on-demand engine
-    // would (usually a `DependencyCycle` naming the same entity). Warm
-    // starts refuse cyclic systems, so this path never replays.
+/// The iteration stops at the first failure in this order: a local
+/// analysis that aborts, a hard spec error, or a budget found
+/// exhausted before a resource. Nothing after it is analysed, so a
+/// failed iteration names the first failing entity in resolution order.
+fn run_iteration(resolver: &mut Resolver<'_>) -> Result<IterationResults, IterationError> {
+    let (spec, topology) = (resolver.spec, resolver.topology);
     for j in 0..spec.frames.len() {
-        if topology.frame_bus[j].is_some_and(|b| topology.cyclic_buses.contains(&b)) {
-            let record = resolver
-                .frame_result(j)
-                .map_err(|e| IterationError::classify(e, topology, "frame:"))?;
-            acc.frames[j] = Some(record);
-        }
+        resolver
+            .frame_result(j)
+            .map_err(|e| IterationError::classify(e, topology, "frame:"))?;
     }
-    for &c in &topology.cyclic_cpus {
-        let tasks = resolver
-            .lower_cpu(c)
+    let mut tasks = vec![None; spec.tasks.len()];
+    for c in 0..spec.cpus.len() {
+        resolver
+            .cpu_results(c, &mut tasks)
             .map_err(|e| IterationError::classify(e, topology, "task:"))?;
-        let results = spp::analyze(&tasks, &config.local)
-            .map_err(|e| IterationError::classify(SystemError::Analysis(e), topology, "task:"))?;
-        for (&i, result) in topology.cpu_tasks[c].iter().zip(&results) {
-            acc.tasks[i] = Some(Record::of(result));
-        }
     }
-    Ok(acc)
-}
-
-/// Analyses one dependency-free level: resolution, per-entity busy
-/// windows, staging.
-fn run_level(
-    resolver: &mut Resolver<'_>,
-    config: &SystemConfig,
-    level: &LevelIndex,
-    warm: Option<&WarmIteration<'_>>,
-    acc: &mut IterationAccum,
-) -> Result<(), IterationError> {
-    let topology = resolver.topology;
-
-    // Phase 1 — resolution of the dirty resources (`None` marks a
-    // clean one). A clean resource's models were seeded from the
-    // snapshot, so it resolves, lifts, and packs nothing here; its
-    // seeded packings count towards `packing_ops` at the same point a
-    // from-scratch run would pack them.
-    let mut bus_sets = Vec::with_capacity(level.buses.len());
-    for &b in &level.buses {
-        let tasks = if warm.is_some_and(|w| w.plan.clean_buses[b]) {
-            resolver.count_replayed_packings(b);
-            None
-        } else {
-            let tasks = resolver
-                .lower_bus(b)
-                .map_err(|e| IterationError::classify(e, topology, "frame:"))?;
-            Some(tasks)
-        };
-        bus_sets.push((b, tasks));
-    }
-    let mut cpu_sets = Vec::with_capacity(level.cpus.len());
-    for &c in &level.cpus {
-        let tasks = if warm.is_some_and(|w| w.plan.clean_cpus[c]) {
-            None
-        } else {
-            let tasks = resolver
-                .lower_cpu(c)
-                .map_err(|e| IterationError::classify(e, topology, "task:"))?;
-            Some(tasks)
-        };
-        cpu_sets.push((c, tasks));
-    }
-
-    // Phases 2 and 3 — one busy-window analysis per dirty entity, and
-    // the snapshot's recorded result per clean one, staged in the same
-    // canonical positions. Every entity of a started level is analysed
-    // even after a failure, so the recorder sees the whole level; the
-    // lowest-index failure is the one reported.
-    let mut first_err: Option<IterationError> = None;
-    let mut record_err = |e: AnalysisError, prefix: &'static str| {
-        if first_err.is_none() {
-            first_err = Some(IterationError::classify(
-                SystemError::Analysis(e),
-                topology,
-                prefix,
-            ));
-        }
+    let complete = |slots: &[Option<Record>]| -> Vec<Record> {
+        slots
+            .iter()
+            .map(|r| r.expect("a completed iteration analyses every entity"))
+            .collect()
     };
-    let replay = || {
-        warm.map(|w| w.replay.results)
-            .expect("clean flags imply a warm plan")
-    };
-    let mut hits = 0u64;
-    let mut staged_frames: Vec<(usize, Record)> = Vec::new();
-    for (b, tasks) in &bus_sets {
-        for (k, &j) in topology.bus_frames[*b].iter().enumerate() {
-            let Some(tasks) = tasks else {
-                staged_frames.push((j, replay().frames[j]));
-                hits += 1;
-                continue;
-            };
-            match spnp::analyze_one(tasks, k, &config.local) {
-                Ok(result) => staged_frames.push((j, Record::of(&result))),
-                Err(e) => record_err(e, "frame:"),
-            }
-        }
-    }
-    let mut staged_tasks: Vec<(usize, Record)> = Vec::new();
-    for (c, tasks) in &cpu_sets {
-        for (k, &i) in topology.cpu_tasks[*c].iter().enumerate() {
-            let Some(tasks) = tasks else {
-                staged_tasks.push((i, replay().tasks[i]));
-                hits += 1;
-                continue;
-            };
-            match spp::analyze_one(tasks, k, &config.local) {
-                Ok(result) => staged_tasks.push((i, Record::of(&result))),
-                Err(e) => record_err(e, "task:"),
-            }
-        }
-    }
-    if hits > 0 {
-        config.local.recorder.add(Counter::WarmStartHits, hits);
-        acc.replayed += hits;
-    }
-    if let Some(err) = first_err {
-        return Err(err);
-    }
-    for (j, record) in staged_frames {
-        acc.frames[j] = Some(record);
-        resolver.frame_results[j] = Some(record);
-    }
-    for (i, record) in staged_tasks {
-        acc.tasks[i] = Some(record);
-    }
-    Ok(())
+    Ok(IterationResults {
+        frames: complete(&resolver.frame_results),
+        tasks: complete(&tasks),
+    })
 }
 
 enum IterationError {
@@ -474,7 +325,7 @@ enum IterationError {
     /// run can degrade gracefully. `entity` is the failed entity's
     /// position in `topology.entities`.
     Local { entity: usize, error: AnalysisError },
-    /// The wall-clock budget expired between levels of an iteration
+    /// The wall-clock budget expired before a resource of an iteration
     /// (warm-start replays included): degrade gracefully with the last
     /// completed iteration's results.
     Budget,
@@ -501,6 +352,7 @@ impl IterationError {
                     .expect("a local analysis is named after its entity");
                 IterationError::Local { entity, error }
             }
+            SystemError::BudgetExhausted { entity: None } => IterationError::Budget,
             other => IterationError::Hard(other),
         }
     }
@@ -664,10 +516,14 @@ pub(crate) fn run_with(
             replay: plan.snapshot.replay(iteration),
         });
         let prev_tasks = trajectory.last().map_or(&[][..], |l| &l.tasks);
-        let mut resolver = Resolver::new(spec, config, topology, prev_tasks, &mut curves);
-        if let Some(w) = &warm_iter {
-            resolver.seed(w);
-        }
+        let mut resolver = Resolver::new(
+            spec,
+            config,
+            topology,
+            prev_tasks,
+            warm_iter.as_ref(),
+            &mut curves,
+        );
         // An external-fed frame's packing holds for the whole run, and
         // across warm runs while its packing inputs hold.
         match (resolutions.last(), &warm_iter) {
@@ -675,10 +531,10 @@ pub(crate) fn run_with(
             (None, Some(w)) => resolver.carry(w.replay.resolution, &w.plan.kept_packings),
             (None, None) => {}
         }
-        let iteration_outcome = run_iteration(&mut resolver, spec, config, warm_iter.as_ref());
+        let iteration_outcome = run_iteration(&mut resolver);
         drop(iter_span);
-        let acc = match iteration_outcome {
-            Ok(acc) => acc,
+        let results = match iteration_outcome {
+            Ok(results) => results,
             Err(IterationError::Hard(e)) => return Err(e),
             Err(IterationError::Budget) => stop!(StopReason::BudgetExhausted, None),
             Err(IterationError::Local { entity, error }) => {
@@ -689,8 +545,7 @@ pub(crate) fn run_with(
                 )
             }
         };
-        let (results, replayed) = acc.finish();
-        replayed_total += replayed;
+        replayed_total += resolver.replayed;
         recorder.add(Counter::GlobalIterations, 1);
 
         let fixed_point = match trajectory.last() {
@@ -809,6 +664,10 @@ struct Resolver<'a> {
     /// The previous iteration's task results, by spec position (empty
     /// in the first iteration).
     prev_tasks: &'a [Record],
+    /// The warm-start plan, if any: which resources replay, and what.
+    warm: Option<&'a WarmIteration<'a>>,
+    /// Per-entity analyses replayed from the snapshot this iteration.
+    replayed: u64,
     /// The memo tables: this iteration's resolved models, moved out
     /// when the iteration completes (for salvage or warm-start capture).
     tables: Resolution,
@@ -836,13 +695,16 @@ impl<'a> Resolver<'a> {
         config: &'a SystemConfig,
         topology: &'a Topology,
         prev_tasks: &'a [Record],
+        warm: Option<&'a WarmIteration<'a>>,
         curves: &'a mut HashSet<Arc<AnalyticCurve>>,
     ) -> Self {
-        Resolver {
+        let mut resolver = Resolver {
             spec,
             config,
             topology,
             prev_tasks,
+            warm,
+            replayed: 0,
             tables: Resolution::empty(spec),
             frame_results: vec![None; spec.frames.len()],
             carried: vec![None; spec.frames.len()],
@@ -850,7 +712,11 @@ impl<'a> Resolver<'a> {
             visiting_frames: vec![false; spec.frames.len()],
             analytic: config.analytic_enabled(),
             curves,
+        };
+        if let Some(warm) = warm {
+            resolver.seed(warm);
         }
+        resolver
     }
 
     /// Seeds every entity on a clean resource with the snapshot's
@@ -909,6 +775,27 @@ impl<'a> Resolver<'a> {
         if packed > 0 {
             self.config.local.recorder.add(Counter::PackingOps, packed);
         }
+    }
+
+    /// Counts `entities` results replayed from the snapshot.
+    fn count_replayed(&mut self, entities: usize) {
+        let entities = entities as u64;
+        if entities > 0 {
+            let recorder = &self.config.local.recorder;
+            recorder.add(Counter::WarmStartHits, entities);
+            self.replayed += entities;
+        }
+    }
+
+    /// Fails with [`SystemError::BudgetExhausted`], naming no entity,
+    /// once the wall-clock budget has expired: polled before each
+    /// resource, so cancellation does not wait for the end of an
+    /// iteration.
+    fn poll_budget(&self) -> Result<(), SystemError> {
+        if self.config.local.budget.exhausted() {
+            return Err(SystemError::BudgetExhausted { entity: None });
+        }
+        Ok(())
     }
 
     /// `model`, or its closed-form analytic curve when an exact lift
@@ -1072,11 +959,10 @@ impl<'a> Resolver<'a> {
         Ok(hem)
     }
 
-    /// Lowers every frame on `spec.buses[b]` to its generic analysis
-    /// task (in spec order), resolving packings and outer streams.
-    fn lower_bus(&mut self, b: usize) -> Result<Vec<AnalysisTask>, SystemError> {
+    /// Every frame on `spec.buses[b]` (in spec order) with its resolved
+    /// outer stream, resolving packings on the way.
+    fn bus_frames(&mut self, b: usize) -> Result<Vec<BusFrame>, SystemError> {
         let topology = self.topology;
-        let bus_config = self.spec.buses[b].config;
         let mut bus_frames = Vec::with_capacity(topology.bus_frames[b].len());
         for &j in &topology.bus_frames[b] {
             let outer = self.analysis_outer(j)?;
@@ -1088,7 +974,7 @@ impl<'a> Resolver<'a> {
                 outer,
             ));
         }
-        Ok(hem_can::bus::lower(&bus_frames, &bus_config))
+        Ok(bus_frames)
     }
 
     /// Lowers every task on `spec.cpus[c]` to its generic analysis task
@@ -1111,21 +997,55 @@ impl<'a> Resolver<'a> {
             .collect()
     }
 
-    /// The bus-analysis result of `spec.frames[j]`, lazily running its
-    /// whole bus sequentially when no level committed it — the fallback
-    /// path for resources in a dependency cycle (where it reproduces the
-    /// purely sequential engine's behaviour, cycle errors included).
+    /// The bus-analysis result of `spec.frames[j]`. The first request
+    /// for a frame of a bus polls the budget, then analyses the whole
+    /// bus — resolving, and so first analysing, the buses its packings
+    /// read — or, outside a warm run's damage cone, replays the bus's
+    /// recorded results.
     fn frame_result(&mut self, j: usize) -> Result<Record, SystemError> {
-        if self.frame_results[j].is_none() {
-            let topology = self.topology;
-            let b = topology.frame_bus[j].expect("a validated frame has a bus");
-            let tasks = self.lower_bus(b)?;
-            let results = spnp::analyze(&tasks, &self.config.local)?;
-            for (&k, result) in topology.bus_frames[b].iter().zip(&results) {
+        if let Some(record) = self.frame_results[j] {
+            return Ok(record);
+        }
+        self.poll_budget()?;
+        let topology = self.topology;
+        let b = topology.frame_bus[j].expect("a validated frame has a bus");
+        let frames = &topology.bus_frames[b];
+        if let Some(w) = self.warm.filter(|w| w.plan.clean_buses[b]) {
+            self.count_replayed_packings(b);
+            for &k in frames {
+                self.frame_results[k] = Some(w.replay.results.frames[k]);
+            }
+            self.count_replayed(frames.len());
+        } else {
+            let bus_frames = self.bus_frames(b)?;
+            let bus = &self.spec.buses[b].config;
+            let results = hem_can::bus::analyze(&bus_frames, bus, &self.config.local)?;
+            for (&k, result) in frames.iter().zip(&results) {
                 self.frame_results[k] = Some(Record::of(result));
             }
         }
         Ok(self.frame_results[j].expect("a bus analysis covers every frame on the bus"))
+    }
+
+    /// Analyses every task on `spec.cpus[c]` into `tasks` (by spec
+    /// position) after polling the budget, or, outside a warm run's
+    /// damage cone, replays the CPU's recorded results.
+    fn cpu_results(&mut self, c: usize, tasks: &mut [Option<Record>]) -> Result<(), SystemError> {
+        self.poll_budget()?;
+        let on_cpu = &self.topology.cpu_tasks[c];
+        if let Some(w) = self.warm.filter(|w| w.plan.clean_cpus[c]) {
+            for &i in on_cpu {
+                tasks[i] = Some(w.replay.results.tasks[i]);
+            }
+            self.count_replayed(on_cpu.len());
+            return Ok(());
+        }
+        let lowered = self.lower_cpu(c)?;
+        let results = spp::analyze(&lowered, &self.config.local)?;
+        for (&i, result) in on_cpu.iter().zip(&results) {
+            tasks[i] = Some(Record::of(result));
+        }
+        Ok(())
     }
 
     /// The processed HEM of `spec.frames[j]`.
@@ -1827,5 +1747,212 @@ mod tests {
             analyze(&spec, &SystemConfig::new(AnalysisMode::Flat)).unwrap_err(),
             SystemError::UnsupportedSpec(_)
         ));
+    }
+
+    const MODES: [AnalysisMode; 3] = [
+        AnalysisMode::Flat,
+        AnalysisMode::FlatSem,
+        AnalysisMode::Hierarchical,
+    ];
+
+    /// A frame on `bus` carrying one triggering signal `x` from `source`.
+    fn gateway_frame(name: &str, bus: &str, source: ActivationSpec) -> FrameSpec {
+        FrameSpec {
+            name: name.into(),
+            bus: bus.into(),
+            frame_type: FrameType::Direct,
+            payload_bytes: 2,
+            format: FrameFormat::Standard,
+            priority: Priority::new(1),
+            signals: vec![SignalSpec {
+                name: "x".into(),
+                transfer: TransferProperty::Triggering,
+                source,
+            }],
+        }
+    }
+
+    fn signal_x(frame: &str) -> ActivationSpec {
+        ActivationSpec::Signal {
+            frame: frame.into(),
+            signal: "x".into(),
+        }
+    }
+
+    /// Appends two buses feeding each other through gateway tasks: F0
+    /// on b0 packs t1's output, t1 unpacks F1 on b1, F1 packs t0's
+    /// output, and t0 unpacks F0.
+    fn bus_loop(spec: SystemSpec) -> SystemSpec {
+        spec.cpu("gw")
+            .bus("b0", CanBusConfig::new(Time::new(1)))
+            .bus("b1", CanBusConfig::new(Time::new(1)))
+            .frame(gateway_frame(
+                "F0",
+                "b0",
+                ActivationSpec::TaskOutput("t1".into()),
+            ))
+            .frame(gateway_frame(
+                "F1",
+                "b1",
+                ActivationSpec::TaskOutput("t0".into()),
+            ))
+            .task(simple_task("t0", "gw", 10, 1, signal_x("F0")))
+            .task(simple_task("t1", "gw", 10, 2, signal_x("F1")))
+    }
+
+    /// The resolver meets a cycle at the same entity in every mode: the
+    /// first one it visits twice, resolving frames in spec order.
+    #[test]
+    fn dependency_cycles_name_the_same_entity_in_every_mode() {
+        let self_loop = SystemSpec::new()
+            .cpu("c")
+            .bus("can", CanBusConfig::new(Time::new(1)))
+            .frame(gateway_frame(
+                "F1",
+                "can",
+                ActivationSpec::External(periodic(2_000)),
+            ))
+            .frame(gateway_frame(
+                "F2",
+                "can",
+                ActivationSpec::TaskOutput("echo".into()),
+            ))
+            .task(simple_task("echo", "c", 10, 1, signal_x("F1")));
+        let downstream_first = bus_loop(
+            SystemSpec::new()
+                .bus("bd", CanBusConfig::new(Time::new(1)))
+                .frame(gateway_frame(
+                    "FD",
+                    "bd",
+                    ActivationSpec::TaskOutput("t0".into()),
+                )),
+        );
+        let shapes = [
+            ("bus loop", bus_loop(SystemSpec::new()), "F0"),
+            ("intra-bus self-loop", self_loop, "F2"),
+            ("downstream bus first", downstream_first, "t0"),
+        ];
+        for (shape, spec, entity) in shapes {
+            for mode in MODES {
+                match analyze_robust(&spec, &SystemConfig::new(mode)) {
+                    Err(SystemError::DependencyCycle { name }) => {
+                        assert_eq!(name, entity, "{shape}, {mode:?}");
+                    }
+                    other => panic!("{shape}, {mode:?}: {:?}", other.map(|_| "ok")),
+                }
+            }
+        }
+    }
+
+    /// A gateway chain — can0 → relay on gw → can1 → rx on sink — with
+    /// every resource, frame and task of one half declared before or
+    /// after the other's.
+    fn gateway_chain(downstream_first: bool) -> SystemSpec {
+        let upstream = |spec: SystemSpec| {
+            spec.cpu("gw")
+                .bus("can0", CanBusConfig::new(Time::new(1)))
+                .frame(gateway_frame(
+                    "F0",
+                    "can0",
+                    ActivationSpec::External(periodic(500)),
+                ))
+                .task(simple_task("relay", "gw", 30, 1, signal_x("F0")))
+        };
+        let downstream = |spec: SystemSpec| {
+            spec.cpu("sink")
+                .bus("can1", CanBusConfig::new(Time::new(1)))
+                .frame(gateway_frame(
+                    "F1",
+                    "can1",
+                    ActivationSpec::TaskOutput("relay".into()),
+                ))
+                .task(simple_task("rx", "sink", 40, 1, signal_x("F1")))
+        };
+        if downstream_first {
+            upstream(downstream(SystemSpec::new()))
+        } else {
+            downstream(upstream(SystemSpec::new()))
+        }
+    }
+
+    /// Declaring a downstream bus first makes its analysis resolve the
+    /// upstream bus on demand: the results, and every counter of the
+    /// work done, equal the upstream-first declaration's.
+    #[test]
+    fn declaration_order_changes_no_result_and_no_counter() {
+        let run = |spec: &SystemSpec, mode| {
+            let (recorder, handle) = hem_obs::MemoryRecorder::handle();
+            let config = SystemConfig::new(mode).with_recorder(handle);
+            let results = analyze(spec, &config).expect("the chain converges");
+            (results, recorder.snapshot())
+        };
+        for mode in MODES {
+            let (upstream, up_metrics) = run(&gateway_chain(false), mode);
+            let (downstream, down_metrics) = run(&gateway_chain(true), mode);
+            assert_eq!(upstream.iterations(), downstream.iterations(), "{mode:?}");
+            let results = |r: &SystemResults| -> Vec<TaskResult> {
+                r.frames()
+                    .chain(r.tasks())
+                    .map(|(_, t)| t.clone())
+                    .collect()
+            };
+            assert_eq!(results(&upstream), results(&downstream), "{mode:?}");
+            assert_eq!(up_metrics.counters, down_metrics.counters, "{mode:?}");
+            assert_eq!(up_metrics.labeled, down_metrics.labeled, "{mode:?}");
+            assert!(up_metrics.counters["packing_ops"] > 0);
+            for (frame, signal) in [("F0", "x"), ("F1", "x")] {
+                let (a, b) = (
+                    upstream.frame_output(frame).expect("converged"),
+                    downstream.frame_output(frame).expect("converged"),
+                );
+                for n in 2..=16 {
+                    assert_eq!(a.delta_min(n), b.delta_min(n), "{mode:?} {frame}");
+                    assert_eq!(a.delta_plus(n), b.delta_plus(n), "{mode:?} {frame}");
+                }
+                assert_eq!(
+                    upstream.unpacked_signal(frame, signal).is_some(),
+                    downstream.unpacked_signal(frame, signal).is_some()
+                );
+            }
+        }
+    }
+
+    /// A run stops at the first local failure in resolution order —
+    /// every bus before every CPU — and analyses nothing after it: a
+    /// diverging frame is named although an unrelated CPU declared
+    /// before its bus diverges in the same iteration.
+    #[test]
+    fn first_failure_in_resolution_order_stops_the_run() {
+        let spec = overloaded_system()
+            .bus("can0", CanBusConfig::new(Time::new(1)))
+            .frame(gateway_frame(
+                "F",
+                "can0",
+                ActivationSpec::External(periodic(50)),
+            ));
+        for mode in MODES {
+            let r = analyze_robust(&spec, &SystemConfig::new(mode)).expect("well-formed");
+            assert!(
+                matches!(
+                    &r.diagnostics.stop,
+                    StopReason::LocalAnalysisFailed { entity, .. } if entity == "frame:F"
+                ),
+                "{mode:?}: {:?}",
+                r.diagnostics.stop
+            );
+            assert_eq!(r.results.iterations(), 0);
+            assert_eq!(
+                r.results.frame_convergence("F"),
+                Some(ConvergenceStatus::Failed)
+            );
+            assert_eq!(
+                r.results.task_convergence("victim"),
+                Some(ConvergenceStatus::Unknown)
+            );
+            assert!(matches!(
+                analyze(&spec, &SystemConfig::new(mode)).unwrap_err(),
+                SystemError::Analysis(AnalysisError::NoConvergence { task, .. }) if task == "F"
+            ));
+        }
     }
 }

@@ -1,217 +1,22 @@
-//! The propagation dependency graph and its topological leveling.
+//! The spec's topology: names, hosting, wiring and resource edges.
 //!
-//! Within **one** global iteration, data flows in a single direction:
-//! task outputs are derived from *previous-iteration* response times
-//! (see `Resolver::prev_rt`), so the only same-iteration dependencies
-//! are the ones flowing **into bus analyses** — packing a frame
-//! resolves its signal sources, and a source that (transitively)
-//! unpacks a signal of another frame needs that frame's bus analysed
-//! first. CPUs consume bus outputs but nothing consumes a CPU's results
-//! until the next iteration.
+//! Everything the engine derives from a [`SystemSpec`]'s names, hosting
+//! and wiring lives in one [`Topology`], derived in one pass per wiring
+//! and carried along by warm starts: the entity index, the compiled
+//! activation wiring the resolver follows, the sorted keys every
+//! name-keyed output is built from, and the resource dependency edges
+//! the incremental engine's damage cone closes over.
 //!
-//! This module derives the resulting resource-level dependency graph
-//! from a [`SystemSpec`] — edges `bus → resource`, including the HEM
-//! pack/unpack edges — and levels it topologically. Resources within a
-//! level are mutually independent; the level order is the engine's
-//! resolution order, which fixes where packings are counted and what
-//! warm starts replay by. Resources caught in a resource-level cycle are
-//! set aside: the engine analyses them through the lazy resolver, which
-//! reports [`SystemError::DependencyCycle`] with the exact entity a
-//! resolve-on-demand engine would name.
-//!
-//! Both graphs are part of one `Topology`: the spec's names, hosting,
-//! wiring, levels, resource edges and sorted keys, derived in one pass
-//! per wiring and carried along by warm starts. [`PropagationLevels`]
-//! and [`ResourceGraph`] are views of it.
-//!
-//! [`SystemError::DependencyCycle`]: crate::SystemError::DependencyCycle
+//! Resolution order needs no graph: within one global iteration, task
+//! outputs are derived from *previous-iteration* response times, so the
+//! only same-iteration dependencies flow into bus analyses — packing a
+//! frame resolves its signal sources, which may unpack another frame —
+//! and the engine's lazy resolver follows exactly those, cycle detection
+//! included.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::spec::{ActivationSpec, SystemSpec};
-
-/// One dependency-free group of resources: every bus and CPU in a level
-/// can be analysed once all earlier levels are done.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Level {
-    /// Buses of this level, in spec order.
-    pub buses: Vec<String>,
-    /// CPUs of this level, in spec order.
-    pub cpus: Vec<String>,
-}
-
-impl Level {
-    /// Whether the level holds no resources.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buses.is_empty() && self.cpus.is_empty()
-    }
-}
-
-/// The topologically leveled propagation graph of a system, by name: a
-/// view of the levels the engine's `Topology` derives.
-///
-/// # Examples
-///
-/// ```
-/// use hem_system::graph::PropagationLevels;
-/// use hem_system::SystemSpec;
-///
-/// let levels = PropagationLevels::of(&SystemSpec::new().cpu("ecu"));
-/// assert_eq!(levels.levels.len(), 1);
-/// assert_eq!(levels.levels[0].cpus, ["ecu"]);
-/// assert!(levels.cyclic_buses.is_empty());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PropagationLevels {
-    /// Dependency-free resource groups, in execution order.
-    pub levels: Vec<Level>,
-    /// Buses caught in a resource-level dependency cycle (including
-    /// self-loops such as two frames of one bus feeding each other),
-    /// in spec order. Analysed sequentially after all levels.
-    pub cyclic_buses: Vec<String>,
-    /// CPUs depending on a cyclic bus, in spec order.
-    pub cyclic_cpus: Vec<String>,
-}
-
-impl PropagationLevels {
-    /// Derives and levels the propagation graph of `spec`.
-    ///
-    /// Expects a spec that passes the engine's validation; dangling
-    /// references are ignored rather than reported (validation owns
-    /// that diagnosis).
-    #[must_use]
-    pub fn of(spec: &SystemSpec) -> Self {
-        let topology = Topology::of(spec);
-        let buses = |ids: &[usize]| -> Vec<String> {
-            ids.iter()
-                .map(|&b| topology.buses.get(b).to_string())
-                .collect()
-        };
-        let cpus = |ids: &[usize]| -> Vec<String> {
-            ids.iter()
-                .map(|&c| topology.cpus.get(c).to_string())
-                .collect()
-        };
-        PropagationLevels {
-            levels: topology
-                .levels
-                .iter()
-                .map(|l| Level {
-                    buses: buses(&l.buses),
-                    cpus: cpus(&l.cpus),
-                })
-                .collect(),
-            cyclic_buses: buses(&topology.cyclic_buses),
-            cyclic_cpus: cpus(&topology.cyclic_cpus),
-        }
-    }
-
-    /// Whether any resource needs the sequential fallback.
-    #[must_use]
-    pub fn has_cycles(&self) -> bool {
-        !self.cyclic_buses.is_empty() || !self.cyclic_cpus.is_empty()
-    }
-
-    /// Total number of leveled resources (diagnostic).
-    #[must_use]
-    pub fn leveled_resources(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.buses.len() + l.cpus.len())
-            .sum()
-    }
-}
-
-/// The resource-level dependency graph **including cross-iteration
-/// edges**, the basis of the incremental engine's damage-cone
-/// computation (see `docs/INCREMENTAL.md`): a view of the edges the
-/// engine's `Topology` derives.
-///
-/// [`PropagationLevels`] deliberately drops task-output edges: a
-/// consumer reads the producer's *previous-iteration* response time, so
-/// no same-iteration ordering is needed. For invalidation the direction
-/// of data flow matters regardless of which iteration it crosses — if a
-/// producer's results change, every consumer's trajectory changes one
-/// iteration later. This graph therefore keeps both kinds of edges:
-///
-/// * `bus:<b> ∈ deps(R)` when an entity on `R` consumes a signal or the
-///   arrival stream of a frame on `b` (same-iteration),
-/// * `cpu:<c> ∈ deps(R)` when an entity on `R` consumes the output of a
-///   task hosted on `c` (cross-iteration).
-///
-/// Nodes are prefixed resource keys (`bus:<name>` / `cpu:<name>`), the
-/// same convention `Diagnostics` uses for entities. Only *direct* edges
-/// are stored; [`ResourceGraph::dependents_closure`] transitively closes
-/// over them.
-///
-/// # Examples
-///
-/// ```
-/// use hem_system::graph::ResourceGraph;
-/// use hem_system::SystemSpec;
-///
-/// let graph = ResourceGraph::of(&SystemSpec::new().cpu("ecu"));
-/// assert_eq!(graph.len(), 1);
-/// assert_eq!(
-///     graph.dependents_closure(["cpu:ecu".to_string()]),
-///     ["cpu:ecu".to_string()].into_iter().collect()
-/// );
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResourceGraph {
-    topology: Topology,
-}
-
-impl ResourceGraph {
-    /// Derives the resource dependency graph of `spec`.
-    ///
-    /// Like [`PropagationLevels::of`], expects a spec that passes the
-    /// engine's validation; dangling references are ignored.
-    #[must_use]
-    pub fn of(spec: &SystemSpec) -> Self {
-        ResourceGraph {
-            topology: Topology::of(spec),
-        }
-    }
-
-    /// Every resource of the graph, as prefixed keys in sorted order.
-    pub fn resources(&self) -> impl Iterator<Item = &str> {
-        self.topology.resource_keys()
-    }
-
-    /// Number of resources.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.topology.resource_count()
-    }
-
-    /// Whether the graph holds no resources.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The *damage cone* of a set of directly mutated resources: every
-    /// resource whose analysis trajectory can be affected by the
-    /// mutation — the seeds plus all transitive dependents, following
-    /// edges forward through both same- and cross-iteration
-    /// dependencies. Seeds that are not resources of this graph are
-    /// ignored.
-    #[must_use]
-    pub fn dependents_closure(&self, seeds: impl IntoIterator<Item = String>) -> BTreeSet<String> {
-        let topology = &self.topology;
-        let seeds = seeds
-            .into_iter()
-            .filter_map(|key| topology.resource_of_key(&key));
-        let cone = topology.dependents_closure(seeds);
-        topology
-            .sorted_resources()
-            .filter(|&r| cone[r])
-            .map(|r| topology.resource_key(r).to_string())
-            .collect()
-    }
-}
 
 /// Strings stored back to back in one buffer: the names and keys a
 /// topology keeps, without an allocation per string.
@@ -251,12 +56,6 @@ impl Strings {
         self.ends.len()
     }
 
-    /// The position of `name`, by a linear scan: only diagnostics and
-    /// the name-keyed [`ResourceGraph`] view look names up.
-    pub(crate) fn position(&self, name: &str) -> Option<usize> {
-        (0..self.len()).find(|&i| self.get(i) == name)
-    }
-
     /// Positions sorted by string.
     fn sorted(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len()).collect();
@@ -287,15 +86,6 @@ pub(crate) enum Wire {
     Dangling,
 }
 
-/// One propagation level by spec position.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct LevelIndex {
-    /// Buses of this level, in spec order.
-    pub(crate) buses: Vec<usize>,
-    /// CPUs of this level, in spec order.
-    pub(crate) cpus: Vec<usize>,
-}
-
 /// A task or frame by spec position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Entity {
@@ -306,9 +96,9 @@ pub(crate) enum Entity {
 /// Everything the engine derives from a spec's names, hosting and
 /// wiring — but not from its values (execution times, priorities,
 /// payloads, bus timing, external models) — in one pass over
-/// name → position maps: the entity index, the propagation levels, the
-/// resource dependency edges and the sorted prefixed keys every
-/// name-keyed output is built from.
+/// name → position maps: the entity index, the resource dependency
+/// edges and the sorted prefixed keys every name-keyed output is built
+/// from.
 ///
 /// A warm start carries its topology along: a spec whose names, hosting
 /// and wiring are unchanged reuses it as is, and only a rewire or a
@@ -345,14 +135,10 @@ pub(crate) struct Topology {
     /// `externals[i]..externals[i + 1]`, frame `j` owns
     /// `externals[tasks + j]..externals[tasks + j + 1]`.
     externals: Vec<usize>,
-    /// Dependency-free resource groups, in execution order.
-    pub(crate) levels: Vec<LevelIndex>,
-    /// Buses in a resource-level dependency cycle, in spec order.
-    pub(crate) cyclic_buses: Vec<usize>,
-    /// CPUs depending on a cyclic bus, in spec order.
-    pub(crate) cyclic_cpus: Vec<usize>,
-    /// Direct dependents of every resource (cross-iteration edges
-    /// included), deduplicated.
+    /// Direct dependents of every resource, deduplicated: a consumer of
+    /// a frame's signal or arrivals depends on the frame's bus (within
+    /// one iteration), a consumer of a task's output on the task's CPU
+    /// (one iteration later).
     dependents: Vec<Vec<usize>>,
     /// `bus:<name>` / `cpu:<name>` of every resource, by resource number.
     resource_keys: Strings,
@@ -405,72 +191,6 @@ impl WireCompiler<'_> {
             ActivationSpec::AllOf(sources) => {
                 Wire::AllOf(sources.iter().map(|s| self.wire(s)).collect())
             }
-        }
-    }
-}
-
-/// Collects the buses a resource depends on within one global
-/// iteration. `seen` arrays hold the stamp of the resource that last
-/// visited an entry, so they are never cleared between resources.
-struct SameIterationDeps<'t> {
-    topology: &'t Topology,
-    stamp: u32,
-    seen_tasks: Vec<u32>,
-    seen_frames: Vec<u32>,
-    seen_buses: Vec<u32>,
-    out: Vec<usize>,
-}
-
-impl SameIterationDeps<'_> {
-    /// Starts collecting the dependencies of the next resource.
-    fn next_resource(&mut self) {
-        self.stamp += 1;
-        self.out.clear();
-    }
-
-    /// Adds every bus the source depends on within the same global
-    /// iteration. `TaskOutput` recurses into the producing task's own
-    /// activation (its output *model* is previous-iteration data, but
-    /// building it still resolves the activation chain);
-    /// `Signal`/`FrameArrivals` add the transporting frame's bus and
-    /// recurse into the frame's packing (its signal sources are resolved
-    /// when the frame is packed).
-    fn source(&mut self, wire: &Wire) {
-        match wire {
-            Wire::External | Wire::Dangling => {}
-            &Wire::TaskOutput(i) => {
-                if self.seen_tasks[i] != self.stamp {
-                    self.seen_tasks[i] = self.stamp;
-                    let topology = self.topology;
-                    self.source(&topology.task_wires[i]);
-                }
-            }
-            &Wire::Signal { frame: j, .. } | &Wire::FrameArrivals(j) => {
-                if let Some(b) = self.topology.frame_bus[j] {
-                    if self.seen_buses[b] != self.stamp {
-                        self.seen_buses[b] = self.stamp;
-                        self.out.push(b);
-                    }
-                }
-                self.frame(j);
-            }
-            Wire::AnyOf(wires) | Wire::AllOf(wires) => {
-                for w in wires {
-                    self.source(w);
-                }
-            }
-        }
-    }
-
-    /// Adds the buses packing `spec.frames[j]` depends on.
-    fn frame(&mut self, j: usize) {
-        if self.seen_frames[j] == self.stamp {
-            return;
-        }
-        self.seen_frames[j] = self.stamp;
-        let topology = self.topology;
-        for wire in topology.frame_signal_wires(j) {
-            self.source(wire);
         }
     }
 }
@@ -608,98 +328,14 @@ impl Topology {
             task_wires,
             signal_wires,
             externals,
-            levels: Vec::new(),
-            cyclic_buses: Vec::new(),
-            cyclic_cpus: Vec::new(),
             dependents: Vec::new(),
             resource_keys,
             resource_order,
             entities,
             entity_keys,
         };
-        topology.level();
         topology.link();
         topology
-    }
-
-    /// Levels the same-iteration dependency graph: longest-path
-    /// leveling of the buses (repeatedly place every bus whose
-    /// dependencies are all placed; leftovers are cycle participants or
-    /// downstream of one), then every CPU one level after the last bus
-    /// it reads from, or with the cyclic buses.
-    fn level(&mut self) {
-        let (n_buses, n_cpus) = (self.buses.len(), self.cpus.len());
-        let mut walk = SameIterationDeps {
-            topology: self,
-            stamp: 0,
-            seen_tasks: vec![0; self.tasks.len()],
-            seen_frames: vec![0; self.frames.len()],
-            seen_buses: vec![0; n_buses],
-            out: Vec::new(),
-        };
-        let mut bus_deps = Vec::with_capacity(n_buses);
-        for b in 0..n_buses {
-            walk.next_resource();
-            for &j in &self.bus_frames[b] {
-                walk.frame(j);
-            }
-            bus_deps.push(walk.out.clone());
-        }
-        let mut cpu_deps = Vec::with_capacity(n_cpus);
-        for c in 0..n_cpus {
-            walk.next_resource();
-            for &i in &self.cpu_tasks[c] {
-                walk.source(&self.task_wires[i]);
-            }
-            cpu_deps.push(walk.out.clone());
-        }
-
-        let mut bus_level: Vec<Option<usize>> = vec![None; n_buses];
-        loop {
-            let mut progressed = false;
-            for (b, deps) in bus_deps.iter().enumerate() {
-                if bus_level[b].is_some() || deps.contains(&b) {
-                    continue;
-                }
-                if let Some(level) = deps
-                    .iter()
-                    .try_fold(0usize, |acc, &d| Some(acc.max(bus_level[d]? + 1)))
-                {
-                    bus_level[b] = Some(level);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        let cpu_level: Vec<Option<usize>> = cpu_deps
-            .iter()
-            .map(|deps| {
-                deps.iter()
-                    .try_fold(0usize, |acc, &d| Some(acc.max(bus_level[d]? + 1)))
-            })
-            .collect();
-        let depth = bus_level
-            .iter()
-            .chain(&cpu_level)
-            .flatten()
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut levels = vec![LevelIndex::default(); depth];
-        for (b, level) in bus_level.iter().enumerate() {
-            match level {
-                Some(l) => levels[*l].buses.push(b),
-                None => self.cyclic_buses.push(b),
-            }
-        }
-        for (c, level) in cpu_level.iter().enumerate() {
-            match level {
-                Some(l) => levels[*l].cpus.push(c),
-                None => self.cyclic_cpus.push(c),
-            }
-        }
-        self.levels = levels;
     }
 
     /// Derives the direct dependents of every resource: a `TaskOutput`
@@ -762,11 +398,6 @@ impl Topology {
         self.externals[k]..self.externals[k + 1]
     }
 
-    /// Whether any resource needs the sequential fallback.
-    pub(crate) fn has_cycles(&self) -> bool {
-        !self.cyclic_buses.is_empty() || !self.cyclic_cpus.is_empty()
-    }
-
     /// Number of resources (buses and CPUs).
     pub(crate) fn resource_count(&self) -> usize {
         self.buses.len() + self.cpus.len()
@@ -790,16 +421,6 @@ impl Topology {
     /// Every resource's prefixed key, in sorted order.
     pub(crate) fn resource_keys(&self) -> impl Iterator<Item = &str> {
         self.sorted_resources().map(|r| self.resource_key(r))
-    }
-
-    /// The resource number of a prefixed key, if it names one.
-    fn resource_of_key(&self, key: &str) -> Option<usize> {
-        if let Some(bus) = key.strip_prefix("bus:") {
-            self.buses.position(bus)
-        } else {
-            let cpu = key.strip_prefix("cpu:")?;
-            Some(self.cpu_resource(self.cpus.position(cpu)?))
-        }
     }
 
     /// Frame positions in name order.
@@ -865,6 +486,11 @@ impl Topology {
 
     /// The *damage cone* of directly mutated resources: the seeds plus
     /// every transitive dependent, as a membership flag per resource.
+    ///
+    /// The closure follows task-output edges too, although a consumer
+    /// reads its producer's *previous-iteration* response time: if a
+    /// producer's results change, every consumer's trajectory changes
+    /// one iteration later (see `docs/INCREMENTAL.md`).
     pub(crate) fn dependents_closure(&self, seeds: impl IntoIterator<Item = usize>) -> Vec<bool> {
         let mut cone = vec![false; self.resource_count()];
         let mut frontier = Vec::new();
@@ -935,150 +561,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fig2_shape_levels_bus_before_cpu() {
-        // Externally-fed frames on one bus; tasks unpack its signals.
-        let spec = SystemSpec::new()
-            .cpu("cpu1")
-            .bus("can", CanBusConfig::new(Time::new(1)))
-            .frame(frame("F1", "can", 1, vec![("s1", periodic(250))]))
-            .task(task("T1", "cpu1", signal("F1", "s1")));
-        let levels = PropagationLevels::of(&spec);
-        assert!(!levels.has_cycles());
-        assert_eq!(levels.levels.len(), 2);
-        assert_eq!(levels.levels[0].buses, ["can"]);
-        assert!(levels.levels[0].cpus.is_empty());
-        assert_eq!(levels.levels[1].cpus, ["cpu1"]);
-        assert_eq!(levels.leveled_resources(), 2);
-    }
-
-    #[test]
-    fn independent_resources_share_a_level() {
-        let spec = SystemSpec::new()
-            .cpu("a")
-            .cpu("b")
-            .bus("can0", CanBusConfig::new(Time::new(1)))
-            .bus("can1", CanBusConfig::new(Time::new(1)))
-            .frame(frame("F0", "can0", 1, vec![("s", periodic(100))]))
-            .frame(frame("F1", "can1", 1, vec![("s", periodic(100))]))
-            .task(task("t0", "a", periodic(100)))
-            .task(task("t1", "b", periodic(100)));
-        let levels = PropagationLevels::of(&spec);
-        assert_eq!(levels.levels.len(), 1);
-        assert_eq!(levels.levels[0].buses, ["can0", "can1"]);
-        assert_eq!(levels.levels[0].cpus, ["a", "b"]);
-    }
-
-    #[test]
-    fn gateway_chains_level_buses_in_order() {
-        // can0's frame is external; a gateway task unpacks it and feeds
-        // can1's frame; a final CPU reads can1. Three levels.
-        let spec = SystemSpec::new()
-            .cpu("gw")
-            .cpu("sink")
-            .bus("can0", CanBusConfig::new(Time::new(1)))
-            .bus("can1", CanBusConfig::new(Time::new(1)))
-            .frame(frame("F0", "can0", 1, vec![("s", periodic(500))]))
-            .frame(frame(
-                "F1",
-                "can1",
-                1,
-                vec![("g", ActivationSpec::TaskOutput("relay".into()))],
-            ))
-            .task(task("relay", "gw", signal("F0", "s")))
-            .task(task("rx", "sink", signal("F1", "g")));
-        let levels = PropagationLevels::of(&spec);
-        assert!(!levels.has_cycles());
-        assert_eq!(levels.levels.len(), 3);
-        assert_eq!(levels.levels[0].buses, ["can0"]);
-        // The gateway CPU reads can0 only; it levels right after can0,
-        // in the same level as can1 (whose packing depends on can0 too).
-        assert_eq!(levels.levels[1].cpus, ["gw"]);
-        assert_eq!(levels.levels[1].buses, ["can1"]);
-        assert_eq!(levels.levels[2].cpus, ["sink"]);
-    }
-
-    #[test]
-    fn mutually_dependent_buses_fall_back_to_sequential() {
-        // B0's frame packs a signal gated through a task reading B1 and
-        // vice versa: a resource-level cycle.
-        let spec = SystemSpec::new()
-            .cpu("gw")
-            .bus("b0", CanBusConfig::new(Time::new(1)))
-            .bus("b1", CanBusConfig::new(Time::new(1)))
-            .frame(frame(
-                "F0",
-                "b0",
-                1,
-                vec![("x", ActivationSpec::TaskOutput("t1".into()))],
-            ))
-            .frame(frame(
-                "F1",
-                "b1",
-                1,
-                vec![("y", ActivationSpec::TaskOutput("t0".into()))],
-            ))
-            .task(task("t0", "gw", signal("F0", "x")))
-            .task(task("t1", "gw", signal("F1", "y")));
-        let levels = PropagationLevels::of(&spec);
-        assert_eq!(levels.cyclic_buses, ["b0", "b1"]);
-        assert_eq!(levels.cyclic_cpus, ["gw"]);
-        assert!(levels.has_cycles());
-        assert_eq!(levels.leveled_resources(), 0);
-    }
-
-    #[test]
-    fn intra_bus_frame_coupling_is_a_self_loop() {
-        // F2 packs a signal produced by a task that unpacks F1 — both
-        // frames on the same bus: the bus depends on itself.
-        let spec = SystemSpec::new()
-            .cpu("c")
-            .bus("can", CanBusConfig::new(Time::new(1)))
-            .frame(frame("F1", "can", 1, vec![("s", periodic(200))]))
-            .frame(frame(
-                "F2",
-                "can",
-                2,
-                vec![("t", ActivationSpec::TaskOutput("echo".into()))],
-            ))
-            .task(task("echo", "c", signal("F1", "s")));
-        let levels = PropagationLevels::of(&spec);
-        assert_eq!(levels.cyclic_buses, ["can"]);
-        assert_eq!(levels.cyclic_cpus, ["c"]);
-    }
-
-    #[test]
-    fn composite_and_chained_activations_collect_all_deps() {
-        let spec = SystemSpec::new()
-            .cpu("c")
-            .bus("b0", CanBusConfig::new(Time::new(1)))
-            .bus("b1", CanBusConfig::new(Time::new(1)))
-            .frame(frame("F0", "b0", 1, vec![("s", periodic(100))]))
-            .frame(frame("F1", "b1", 1, vec![("s", periodic(100))]))
-            .task(task("up", "c", signal("F0", "s")))
-            .task(task(
-                "both",
-                "c",
-                ActivationSpec::AnyOf(vec![
-                    ActivationSpec::TaskOutput("up".into()),
-                    ActivationSpec::FrameArrivals("F1".into()),
-                ]),
-            ));
-        let levels = PropagationLevels::of(&spec);
-        assert_eq!(levels.levels[0].buses, ["b0", "b1"]);
-        // The CPU reads both buses (one via the task-output chain).
-        assert_eq!(levels.levels[1].cpus, ["c"]);
-    }
-
-    fn keys(set: &BTreeSet<String>) -> Vec<&str> {
-        set.iter().map(String::as_str).collect()
+    /// The damage cone of the resources keyed `seeds`, as sorted keys.
+    fn cone<'t>(topology: &'t Topology, seeds: &[&str]) -> Vec<&'t str> {
+        let seeds = seeds.iter().map(|key| {
+            (0..topology.resource_count())
+                .find(|&r| topology.resource_key(r) == *key)
+                .expect("a resource key")
+        });
+        let cone = topology.dependents_closure(seeds);
+        topology
+            .resource_keys()
+            .zip(topology.sorted_resources())
+            .filter(|&(_, r)| cone[r])
+            .map(|(key, _)| key)
+            .collect()
     }
 
     #[test]
     fn resource_graph_includes_cross_iteration_edges() {
         // src → F0 on can0 → relay on gw → F1 on can1 → rx on sink.
-        // `PropagationLevels` has no edge gw → can1 within an iteration,
-        // but the damage cone must carry a gw mutation into can1.
+        // No edge gw → can1 orders one iteration, but the damage cone
+        // must carry a gw mutation into can1.
         let spec = SystemSpec::new()
             .cpu("gw")
             .cpu("sink")
@@ -1093,26 +596,26 @@ mod tests {
             ))
             .task(task("relay", "gw", signal("F0", "s")))
             .task(task("rx", "sink", signal("F1", "g")));
-        let graph = ResourceGraph::of(&spec);
-        assert_eq!(graph.len(), 4);
-        assert!(!graph.is_empty());
+        let topology = Topology::of(&spec);
+        assert_eq!(topology.resource_count(), 4);
         assert_eq!(
-            graph.resources().collect::<Vec<_>>(),
+            topology.resource_keys().collect::<Vec<_>>(),
             ["bus:can0", "bus:can1", "cpu:gw", "cpu:sink"]
         );
         // A mutation on can0 dirties everything downstream.
-        let cone = graph.dependents_closure(["bus:can0".to_string()]);
-        assert_eq!(keys(&cone), ["bus:can0", "bus:can1", "cpu:gw", "cpu:sink"]);
+        assert_eq!(
+            cone(&topology, &["bus:can0"]),
+            ["bus:can0", "bus:can1", "cpu:gw", "cpu:sink"]
+        );
         // A mutation on the gateway CPU reaches can1 and sink, not can0.
-        let cone = graph.dependents_closure(["cpu:gw".to_string()]);
-        assert_eq!(keys(&cone), ["bus:can1", "cpu:gw", "cpu:sink"]);
+        assert_eq!(
+            cone(&topology, &["cpu:gw"]),
+            ["bus:can1", "cpu:gw", "cpu:sink"]
+        );
         // The sink is a leaf.
-        let cone = graph.dependents_closure(["cpu:sink".to_string()]);
-        assert_eq!(keys(&cone), ["cpu:sink"]);
-        // Unknown seeds are ignored.
-        assert!(graph
-            .dependents_closure(["bus:ghost".to_string()])
-            .is_empty());
+        assert_eq!(cone(&topology, &["cpu:sink"]), ["cpu:sink"]);
+        // No seeds, no cone.
+        assert!(cone(&topology, &[]).is_empty());
     }
 
     #[test]
@@ -1126,15 +629,14 @@ mod tests {
             .frame(frame("F1", "can1", 1, vec![("s", periodic(100))]))
             .task(task("t0", "a", signal("F0", "s")))
             .task(task("t1", "b", signal("F1", "s")));
-        let graph = ResourceGraph::of(&spec);
-        let cone = graph.dependents_closure(["bus:can0".to_string()]);
-        assert_eq!(keys(&cone), ["bus:can0", "cpu:a"]);
+        let topology = Topology::of(&spec);
+        assert_eq!(cone(&topology, &["bus:can0"]), ["bus:can0", "cpu:a"]);
     }
 
     #[test]
     fn resource_graph_closes_over_cycles() {
-        // The mutually-dependent-buses topology: the cone from either
-        // bus covers the whole strongly connected component.
+        // Two buses feeding each other through gateway tasks: the cone
+        // from either bus covers the whole strongly connected component.
         let spec = SystemSpec::new()
             .cpu("gw")
             .bus("b0", CanBusConfig::new(Time::new(1)))
@@ -1153,25 +655,7 @@ mod tests {
             ))
             .task(task("t0", "gw", signal("F0", "x")))
             .task(task("t1", "gw", signal("F1", "y")));
-        let graph = ResourceGraph::of(&spec);
-        let cone = graph.dependents_closure(["bus:b0".to_string()]);
-        assert_eq!(keys(&cone), ["bus:b0", "bus:b1", "cpu:gw"]);
-    }
-
-    #[test]
-    fn empty_and_cpu_only_systems() {
-        let empty = PropagationLevels::of(&SystemSpec::new());
-        assert!(empty.levels.is_empty());
-        assert!(!empty.has_cycles());
-
-        let cpu_only = PropagationLevels::of(&SystemSpec::new().cpu("a").task(task(
-            "t",
-            "a",
-            periodic(10),
-        )));
-        assert_eq!(cpu_only.levels.len(), 1);
-        assert_eq!(cpu_only.levels[0].cpus, ["a"]);
-        assert!(cpu_only.levels[0].buses.is_empty());
-        assert!(!cpu_only.levels[0].is_empty());
+        let topology = Topology::of(&spec);
+        assert_eq!(cone(&topology, &["bus:b0"]), ["bus:b0", "bus:b1", "cpu:gw"]);
     }
 }

@@ -40,7 +40,7 @@ pub mod dsl;
 mod engine;
 mod error;
 pub mod explore;
-pub mod graph;
+mod graph;
 pub mod parallel;
 pub mod path;
 pub mod report;

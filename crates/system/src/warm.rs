@@ -6,7 +6,7 @@
 //! [`WarmStart`] snapshot captures the full per-iteration result
 //! trajectory of a converged analysis, a spec diff computes the *damage
 //! cone* — the resources transitively reachable from any mutated entity
-//! in the [`ResourceGraph`](crate::graph::ResourceGraph) — and
+//! in the resource dependency graph — and
 //! [`analyze_incremental`] re-runs the fixed point replaying every
 //! entity outside the cone from the snapshot: its resolved models
 //! (activation streams, packings, outer streams) and its busy-window
@@ -35,10 +35,14 @@
 //! Reuse is refused — falling back to a full from-scratch run, reported
 //! via [`FallbackReason`] and the `full_fallbacks` counter — when there
 //! is no usable snapshot, when analysis-shaping configuration changed,
-//! when the topology changed structurally (entities added, removed,
-//! reordered, or re-hosted), or when the propagation graph has
-//! dependency cycles (the cyclic sub-system is analysed by a lazy
-//! sequential path whose work cannot be partitioned by resource).
+//! or when the topology changed structurally (entities added, removed,
+//! reordered, or re-hosted).
+//!
+//! A dependency cycle needs no fallback. A snapshot comes from a
+//! converged, hence acyclic, run, so a cycle in the edited spec passes
+//! through a mutated resource; the cone is closed under dependents, so
+//! every member of the cycle is dirty, and the warm run meets the cycle
+//! exactly where a cold run does and fails with the same error.
 
 use std::sync::Arc;
 
@@ -250,9 +254,6 @@ pub enum FallbackReason {
     /// The topology changed structurally: entities added, removed,
     /// reordered, or moved to another resource.
     StructuralChange,
-    /// The propagation graph has resource-level dependency cycles; the
-    /// sequential cycle fallback cannot be partitioned by resource.
-    DependencyCycles,
 }
 
 impl std::fmt::Display for FallbackReason {
@@ -261,7 +262,6 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::NoSnapshot => "no snapshot",
             FallbackReason::ConfigChanged => "configuration changed",
             FallbackReason::StructuralChange => "structural change",
-            FallbackReason::DependencyCycles => "dependency cycles",
         })
     }
 }
@@ -444,9 +444,6 @@ fn plan<'w>(
         return Err(FallbackReason::ConfigChanged);
     }
     let delta = delta.ok_or(FallbackReason::StructuralChange)?;
-    if topology.has_cycles() {
-        return Err(FallbackReason::DependencyCycles);
-    }
     let cone = topology.dependents_closure(delta.seeds);
     let engine_warm = EngineWarm {
         clean_buses: (0..topology.buses.len()).map(|b| !cone[b]).collect(),

@@ -7,8 +7,9 @@
 //! multi-entity mutations (periods, jitter, WCET, priorities, frame
 //! packing, bus timing), chains them through warm-start snapshots, and
 //! compares every link of the chain against a cold run of the same spec
-//! — including the full-fallback paths (structural changes,
-//! configuration changes, dependency cycles).
+//! — including the full-fallback paths (structural and configuration
+//! changes) and warm runs into a dependency cycle, which must fail with
+//! the cold run's error.
 //!
 //! Beyond results, every resolved model a warm run hands back — task
 //! activations, frame activations and outputs, unpacked signals — must
@@ -28,7 +29,8 @@ use hem_event_models::{EventModel, EventModelExt, ModelRef, StandardEventModel};
 use hem_obs::MemoryRecorder;
 use hem_system::{
     analyze_incremental, analyze_robust, ActivationSpec, AnalysisMode, FallbackReason, FrameSpec,
-    IncrementalOutcome, RobustAnalysis, SignalSpec, SystemConfig, SystemSpec, TaskSpec, WarmStart,
+    IncrementalOutcome, RobustAnalysis, SignalSpec, SystemConfig, SystemError, SystemSpec,
+    TaskSpec, WarmStart,
 };
 use hem_time::Time;
 
@@ -68,8 +70,8 @@ fn periodic(rng: &mut Rng) -> ActivationSpec {
 /// sources), `cpus` CPUs with 1–3 tasks each (activated externally, by
 /// unpacked signals, by frame arrivals, or by earlier tasks' outputs).
 /// Acyclic by construction: task outputs only feed later tasks, never
-/// frames, so warm starts never hit the cycle fallback here (that path
-/// has its own test below).
+/// frames, so no run here meets a dependency cycle (warm runs into one
+/// have their own tests below).
 fn build_spec(seed: u64, buses: usize, cpus: usize) -> SystemSpec {
     let mut rng = Rng(seed);
     let mut spec = SystemSpec::new();
@@ -565,8 +567,9 @@ fn config_changes_fall_back() {
     );
 }
 
-/// A topology with resource-level cycles refuses reuse (the sequential
-/// cycle fallback cannot replay) — but only once the cycle appears.
+/// An edit that adds a task and closes a resource-level cycle refuses
+/// reuse as a structural change, and the cyclic system then fails
+/// exactly like a cold run.
 #[test]
 fn cyclic_target_falls_back() {
     // Start acyclic: gateway task fed externally.
@@ -653,16 +656,82 @@ fn cyclic_target_falls_back() {
     }
 }
 
-/// The pure `DependencyCycles` fallback: same topology snapshotted,
-/// then re-targeted at a spec whose only change is a parameter, but
-/// whose graph (unchanged) is cyclic — warm refuses before planning.
+/// A warm run into a dependency cycle: a rewire-only edit (no entity
+/// added or removed) closes a bus → CPU → bus loop. The rewired frame's
+/// bus is in the damage cone, and the cone is closed under dependents,
+/// so every member of the loop is re-resolved and the warm run fails
+/// with the cold run's error in every mode.
+#[test]
+fn rewire_into_a_cycle_errors_like_a_cold_run() {
+    let frame = |name: &str, bus: &str, source: ActivationSpec| FrameSpec {
+        name: name.into(),
+        bus: bus.into(),
+        frame_type: FrameType::Direct,
+        payload_bytes: 2,
+        format: FrameFormat::Standard,
+        priority: Priority::new(1),
+        signals: vec![SignalSpec {
+            name: "x".into(),
+            transfer: TransferProperty::Triggering,
+            source,
+        }],
+    };
+    let task = |name: &str, prio: u32, frame: &str| TaskSpec {
+        name: name.into(),
+        cpu: "gw".into(),
+        bcet: Time::new(10),
+        wcet: Time::new(10),
+        priority: Priority::new(prio),
+        activation: ActivationSpec::Signal {
+            frame: frame.into(),
+            signal: "x".into(),
+        },
+    };
+    // b0 → t0 on gw → b1 → t1 on gw: acyclic while F0 is fed externally.
+    let base = SystemSpec::new()
+        .cpu("gw")
+        .bus("b0", CanBusConfig::new(Time::new(1)))
+        .bus("b1", CanBusConfig::new(Time::new(1)))
+        .frame(frame(
+            "F0",
+            "b0",
+            ActivationSpec::External(
+                StandardEventModel::periodic(Time::new(4_000))
+                    .expect("valid")
+                    .shared(),
+            ),
+        ))
+        .frame(frame("F1", "b1", ActivationSpec::TaskOutput("t0".into())))
+        .task(task("t0", 1, "F0"))
+        .task(task("t1", 2, "F1"));
+    let mut cyclic = base.clone();
+    cyclic.frames[0].signals[0].source = ActivationSpec::TaskOutput("t1".into());
+    for mode in [
+        AnalysisMode::Flat,
+        AnalysisMode::FlatSem,
+        AnalysisMode::Hierarchical,
+    ] {
+        let first = run_warm(&base, mode, None);
+        let snapshot = first.outcome.snapshot.expect("converged");
+        let config = SystemConfig::new(mode);
+        let warm = analyze_incremental(&cyclic, &config, Some(&snapshot)).expect_err("cycle");
+        let cold = analyze_robust(&cyclic, &config).expect_err("cycle");
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"), "{mode:?}");
+        assert!(
+            matches!(&cold, SystemError::DependencyCycle { name } if name == "F0"),
+            "{mode:?}: {cold:?}"
+        );
+    }
+}
+
+/// Plan-time refusal: a snapshot re-targeted at a spec with a task
+/// removed reports `StructuralChange` (not a panic inside cone
+/// planning) and equals the cold run.
 #[test]
 fn cycle_in_unchanged_topology_is_refused_at_plan_time() {
-    // A cyclic-graph system that still converges is hard to build (the
-    // engine rejects activation cycles), so exercise plan-time refusal
-    // directly: snapshot an acyclic system, then ask for reuse on a
-    // *different* structural target and verify the reported reason is
-    // StructuralChange, not a panic inside cone planning.
+    // A snapshot comes from a converged, hence acyclic, run, so no warm
+    // run starts from a cyclic topology; what plan time can refuse is a
+    // structural change.
     let base = build_spec(3, 1, 1);
     let first = run_warm(&base, AnalysisMode::Hierarchical, None);
     let snapshot = first.outcome.snapshot.expect("converged");

@@ -52,7 +52,7 @@ impl Rng {
 /// periodic sources or task outputs), `cpus` CPUs with 1–3 tasks each
 /// (activated externally, by unpacked signals, by frame arrivals, or by
 /// other tasks' outputs). Task-output sources may close resource-level
-/// cycles; those exercise the engine's sequential fallback.
+/// cycles; those exercise the resolver's cycle detection.
 fn build_spec(seed: u64, buses: usize, cpus: usize, tight: bool) -> SystemSpec {
     let mut rng = Rng(seed);
     let mut spec = SystemSpec::new();
@@ -375,7 +375,7 @@ fn fig2_shape_system_matches_across_thread_counts() {
     check_batch(&batch);
 }
 
-/// Cyclic topologies run through the engine's lazy fallback and must
+/// Cyclic topologies meet the lazy resolver's cycle detection and must
 /// report the identical `DependencyCycle` at every fan-out width.
 #[test]
 fn cyclic_systems_fail_identically_across_thread_counts() {
