@@ -35,7 +35,7 @@ use hem_bench::paper_system::{simulation, spec, PaperParams};
 use hem_bench::serving::{run_serving, ServingParams, ServingReport};
 use hem_obs::{json, Counter, MemoryRecorder, MetricsSnapshot};
 use hem_sim::fault::{Fault, FaultPlan, FaultTarget};
-use hem_sim::system::try_run_recorded;
+use hem_sim::network::try_run_recorded;
 use hem_system::parallel::{env_threads, parallel_map};
 use hem_system::{analyze_robust, AnalysisMode, SystemConfig};
 use hem_time::Time;

@@ -15,13 +15,15 @@
 //! documented assumption (see `DESIGN.md`), and [`PaperParams::s3_period`]
 //! makes it sweepable (`sweep_s3` binary).
 
+use std::collections::BTreeMap;
+
 use hem_analysis::Priority;
 use hem_autosar_com::{FrameType, TransferProperty};
-use hem_can::{CanBusConfig, CanFrameConfig, FrameFormat};
+use hem_can::{CanBusConfig, FrameFormat};
 use hem_event_models::sampling::{eta_plus_steps, EtaStep};
 use hem_event_models::{EventModelExt, ModelRef, StandardEventModel};
-use hem_sim::com::ComSignal;
-use hem_sim::system::{SimActivation, SimCpuTask, SimFrame, SimReport, SimSystem};
+use hem_sim::from_spec::net_system_from_spec;
+use hem_sim::network::{NetReport, NetSystem};
 use hem_sim::trace;
 use hem_system::{
     analyze, ActivationSpec, AnalysisMode, FrameSpec, SignalSpec, SystemConfig, SystemError,
@@ -273,102 +275,42 @@ pub fn figure4(p: &PaperParams, dt_max: Time) -> Result<Figure4, SystemError> {
     })
 }
 
-/// Builds the behavioural simulation counterpart of the paper system.
+/// Builds the behavioural simulation counterpart of the paper system,
+/// derived from [`spec`] so the two cannot diverge: frames transmit at
+/// their worst-case length, tasks run for their WCET.
 ///
 /// Sources fire periodically from phase 0 (the synchronous critical
-/// instant); frames transmit at their worst-case length.
+/// instant); their traces are keyed `F1/s1` … `F2/s4`.
 #[must_use]
-pub fn simulation(p: &PaperParams, horizon: Time, seed: u64) -> SimSystem {
-    let bus = CanBusConfig::new(Time::new(p.bit_time));
-    let c = |payload| {
-        bus.transmission_time(
-            &CanFrameConfig::new(FrameFormat::Standard, payload).expect("payload within CAN"),
-        )
-        .r_plus
-    };
+pub fn simulation(p: &PaperParams, horizon: Time, seed: u64) -> NetSystem {
     // Jitter seeds make multi-run validation campaigns possible while
     // keeping runs reproducible.
-    let phase_jitter = |period: i64, salt: u64| {
-        trace::periodic_with_jitter(p.period_ticks(period), Time::ZERO, horizon, seed ^ salt)
-    };
-    SimSystem {
-        frames: vec![
-            SimFrame {
-                name: "F1".into(),
-                priority: Priority::new(1),
-                transmission_time: c(4),
-                frame_type: FrameType::Direct,
-                signals: vec![
-                    ComSignal {
-                        name: "s1".into(),
-                        transfer: TransferProperty::Triggering,
-                        writes: phase_jitter(p.s1_period, 1),
-                    },
-                    ComSignal {
-                        name: "s2".into(),
-                        transfer: TransferProperty::Triggering,
-                        writes: phase_jitter(p.s2_period, 2),
-                    },
-                    ComSignal {
-                        name: "s3".into(),
-                        transfer: TransferProperty::Pending,
-                        writes: phase_jitter(p.s3_period, 3),
-                    },
-                ],
-            },
-            SimFrame {
-                name: "F2".into(),
-                priority: Priority::new(2),
-                transmission_time: c(2),
-                frame_type: FrameType::Direct,
-                signals: vec![ComSignal {
-                    name: "s4".into(),
-                    transfer: TransferProperty::Triggering,
-                    writes: phase_jitter(p.s4_period, 4),
-                }],
-            },
-        ],
-        tasks: vec![
-            SimCpuTask {
-                name: "T1".into(),
-                priority: Priority::new(1),
-                execution_time: p.cet_ticks(0),
-                activation: SimActivation::Delivery {
-                    frame: "F1".into(),
-                    signal: "s1".into(),
-                },
-            },
-            SimCpuTask {
-                name: "T2".into(),
-                priority: Priority::new(2),
-                execution_time: p.cet_ticks(1),
-                activation: SimActivation::Delivery {
-                    frame: "F1".into(),
-                    signal: "s2".into(),
-                },
-            },
-            SimCpuTask {
-                name: "T3".into(),
-                priority: Priority::new(3),
-                execution_time: p.cet_ticks(2),
-                activation: SimActivation::Delivery {
-                    frame: "F1".into(),
-                    signal: "s3".into(),
-                },
-            },
-        ],
-    }
+    let traces: BTreeMap<String, Vec<Time>> = [
+        ("F1/s1", p.s1_period, 1),
+        ("F1/s2", p.s2_period, 2),
+        ("F1/s3", p.s3_period, 3),
+        ("F2/s4", p.s4_period, 4),
+    ]
+    .into_iter()
+    .map(|(key, period, salt)| {
+        let writes =
+            trace::periodic_with_jitter(p.period_ticks(period), Time::ZERO, horizon, seed ^ salt);
+        (key.to_string(), writes)
+    })
+    .collect();
+    net_system_from_spec(&spec(p), &traces).expect("every paper source has a trace")
 }
 
 /// Runs the behavioural simulation.
 #[must_use]
-pub fn simulate(p: &PaperParams, horizon: Time, seed: u64) -> SimReport {
-    hem_sim::system::run(&simulation(p, horizon, seed), horizon)
+pub fn simulate(p: &PaperParams, horizon: Time, seed: u64) -> NetReport {
+    hem_sim::network::run(&simulation(p, horizon, seed), horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hem_sim::network::NetSource;
 
     #[test]
     fn parameter_helpers() {
@@ -385,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn simulation_structure_mirrors_spec() {
+    fn simulation_derives_wire_times_and_scaled_traces() {
         let p = PaperParams::default();
         let sys = simulation(&p, Time::new(50_000), 0);
         assert_eq!(sys.frames.len(), 2);
@@ -395,7 +337,10 @@ mod tests {
         assert_eq!(sys.frames[0].transmission_time, Time::new(95));
         assert_eq!(sys.frames[1].transmission_time, Time::new(75));
         // Source traces are scaled paper periods.
-        assert_eq!(sys.frames[0].signals[0].writes[1], Time::new(2_500));
+        let NetSource::Trace(writes) = &sys.frames[0].signals[0].source else {
+            panic!("s1 is an external source");
+        };
+        assert_eq!(writes[1], Time::new(2_500));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Error type for simulation inputs.
 //!
-//! Every simulation entry point has a `try_` variant returning
-//! `Result<_, SimError>` so drivers (fuzzers, batch validation
+//! Every simulation entry point — the per-layer simulators and the
+//! end-to-end [`crate::network`] harness — has a `try_` variant
+//! returning `Result<_, SimError>` so drivers (fuzzers, batch validation
 //! campaigns, services) can reject malformed inputs without unwinding;
-//! the original panicking functions remain as thin wrappers for tests
-//! and examples where a malformed input is a programming error.
+//! the panicking functions remain as thin wrappers for tests and
+//! examples where a malformed input is a programming error.
 
 use std::error::Error;
 use std::fmt;
@@ -39,8 +40,8 @@ pub enum SimError {
         what: String,
     },
     /// The network's resources cannot be ordered into dependency waves
-    /// (a gateway loop without an external source, or an unknown
-    /// reference keeping a resource permanently unready).
+    /// (a gateway loop without an external source, or a same-CPU task
+    /// chain).
     DependencyCycle {
         /// The resources that never became ready.
         remaining: String,
@@ -70,10 +71,9 @@ impl fmt::Display for SimError {
                 write!(f, "duplicate priority {priority} on the bus")
             }
             SimError::UnknownReference { what } => write!(f, "unknown {what}"),
-            SimError::DependencyCycle { remaining } => write!(
-                f,
-                "network contains a dependency cycle (or an unknown reference): {remaining}"
-            ),
+            SimError::DependencyCycle { remaining } => {
+                write!(f, "network contains a dependency cycle: {remaining}")
+            }
         }
     }
 }

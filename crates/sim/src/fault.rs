@@ -1,9 +1,8 @@
 //! Seeded, deterministic fault injection for the simulators.
 //!
 //! A [`FaultPlan`] is a composable list of [`Fault`]s plus a seed. The
-//! simulation harnesses ([`crate::system::run_with_faults`],
-//! [`crate::network::run_with_faults`]) consult the plan at their
-//! physical injection points:
+//! simulation harness ([`crate::network::run_with_faults`]) consults the
+//! plan at its physical injection points:
 //!
 //! * **frame corruption** — each transmission attempt of a matching CAN
 //!   frame is independently corrupted; a corrupted attempt occupies the
@@ -30,8 +29,8 @@
 //! * `"<frame>/<signal>"` for signal write traces and `"task:<name>"`
 //!   for external task activation traces
 //!   ([`Fault::ActivationJitter`], [`Fault::ClockDrift`]),
-//! * the **bus name** for [`Fault::BusOverload`] (the single-bus harness
-//!   in [`crate::system`] answers to the name `"bus"`).
+//! * the **bus name** for [`Fault::BusOverload`]: every bus answers to
+//!   its own [`crate::network::NetFrame::bus`] name; no name is special.
 //!
 //! Only *external* event sources are perturbed; internally produced
 //! events (deliveries, task completions) shift as a consequence of the

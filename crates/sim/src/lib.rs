@@ -15,11 +15,16 @@
 //!   transmission (paper §4),
 //! * [`canbus`] — non-preemptive priority arbitration of queued frames,
 //! * [`cpu`] — preemptive static-priority CPU scheduling,
-//! * [`system`] — an end-to-end harness chaining all layers and
-//!   reporting observed response times and delivery traces,
+//! * [`network`] — the end-to-end harness chaining all layers over any
+//!   feed-forward network of buses and CPUs (the paper's one-bus,
+//!   one-CPU system included) and reporting observed response times,
+//!   latencies and delivery traces,
+//! * [`from_spec`] — derives a [`network::NetSystem`] from a
+//!   [`hem_system::SystemSpec`], so analysis and simulation share one
+//!   description,
 //! * [`fault`] — seeded, deterministic fault injection (frame
 //!   corruption with retransmissions, activation jitter, babbling-idiot
-//!   overload, clock drift) for robustness validation; every harness has
+//!   overload, clock drift) for robustness validation; the harness has
 //!   a `run_with_faults` twin and [`from_spec::simulate_spec_under_faults`]
 //!   runs any [`hem_system::SystemSpec`] under a plan.
 //!
@@ -46,7 +51,6 @@ pub mod error;
 pub mod fault;
 pub mod from_spec;
 pub mod network;
-pub mod system;
 pub mod trace;
 
 pub use error::SimError;

@@ -5,12 +5,14 @@
 //!
 //! Run with `cargo run --example validate_with_simulation`.
 
+use std::collections::BTreeMap;
+
 use hem_repro::analysis::Priority;
 use hem_repro::autosar_com::{FrameType, TransferProperty};
-use hem_repro::can::{CanBusConfig, CanFrameConfig, FrameFormat};
+use hem_repro::can::{CanBusConfig, FrameFormat};
 use hem_repro::event_models::{EventModelExt, StandardEventModel};
-use hem_repro::sim::com::ComSignal;
-use hem_repro::sim::system::{run, SimActivation, SimCpuTask, SimFrame, SimSystem};
+use hem_repro::sim::from_spec::net_system_from_spec;
+use hem_repro::sim::network::run;
 use hem_repro::sim::trace;
 use hem_repro::system::{
     analyze, ActivationSpec, AnalysisMode, FrameSpec, SignalSpec, SystemConfig, SystemSpec,
@@ -20,12 +22,11 @@ use hem_repro::time::Time;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (period_a, period_b) = (3000i64, 5000i64);
-    let bus = CanBusConfig::new(Time::new(1));
 
     // --- Analysis side -------------------------------------------------
     let spec = SystemSpec::new()
         .cpu("rx")
-        .bus("can", bus)
+        .bus("can", CanBusConfig::new(Time::new(1)))
         .frame(FrameSpec {
             name: "FA".into(),
             bus: "can".into(),
@@ -81,58 +82,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bounds = analyze(&spec, &SystemConfig::new(AnalysisMode::Hierarchical))?;
 
     // --- Behaviour side -------------------------------------------------
+    // The simulated system is derived from the same spec; only the
+    // concrete source traces are supplied here.
     let horizon = Time::new(1_000_000);
-    let c = |payload| {
-        bus.transmission_time(&CanFrameConfig::new(FrameFormat::Standard, payload).expect("≤ 8"))
-            .r_plus
-    };
-    let sim = SimSystem {
-        frames: vec![
-            SimFrame {
-                name: "FA".into(),
-                priority: Priority::new(1),
-                transmission_time: c(8),
-                frame_type: FrameType::Direct,
-                signals: vec![ComSignal {
-                    name: "a".into(),
-                    transfer: TransferProperty::Triggering,
-                    writes: trace::periodic(Time::new(period_a), horizon),
-                }],
-            },
-            SimFrame {
-                name: "FB".into(),
-                priority: Priority::new(2),
-                transmission_time: c(2),
-                frame_type: FrameType::Direct,
-                signals: vec![ComSignal {
-                    name: "b".into(),
-                    transfer: TransferProperty::Triggering,
-                    writes: trace::periodic(Time::new(period_b), horizon),
-                }],
-            },
-        ],
-        tasks: vec![
-            SimCpuTask {
-                name: "handler_a".into(),
-                priority: Priority::new(1),
-                execution_time: Time::new(200),
-                activation: SimActivation::Delivery {
-                    frame: "FA".into(),
-                    signal: "a".into(),
-                },
-            },
-            SimCpuTask {
-                name: "handler_b".into(),
-                priority: Priority::new(2),
-                execution_time: Time::new(700),
-                activation: SimActivation::Delivery {
-                    frame: "FB".into(),
-                    signal: "b".into(),
-                },
-            },
-        ],
-    };
-    let report = run(&sim, horizon);
+    let traces: BTreeMap<String, Vec<Time>> = [("FA/a", period_a), ("FB/b", period_b)]
+        .into_iter()
+        .map(|(key, period)| (key.to_string(), trace::periodic(Time::new(period), horizon)))
+        .collect();
+    let report = run(&net_system_from_spec(&spec, &traces)?, horizon);
 
     // --- Comparison ------------------------------------------------------
     println!(

@@ -6,14 +6,16 @@
 //! This is the validation the paper's authors did against SymTA/S —
 //! here executed mechanically against our own simulator.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use hem_repro::analysis::Priority;
 use hem_repro::autosar_com::{FrameType, TransferProperty};
-use hem_repro::can::{CanBusConfig, CanFrameConfig, FrameFormat};
+use hem_repro::can::{CanBusConfig, FrameFormat};
 use hem_repro::event_models::{EventModelExt, StandardEventModel};
-use hem_repro::sim::com::ComSignal;
-use hem_repro::sim::system::{run, SimActivation, SimCpuTask, SimFrame, SimSystem};
+use hem_repro::sim::from_spec::net_system_from_spec;
+use hem_repro::sim::network::run;
 use hem_repro::sim::trace;
 use hem_repro::system::{
     analyze, ActivationSpec, AnalysisMode, FrameSpec, SignalSpec, SystemConfig, SystemSpec,
@@ -102,57 +104,24 @@ fn to_spec(sys: &RandomSystem) -> SystemSpec {
     spec
 }
 
-fn to_sim(sys: &RandomSystem, horizon: Time, seed: u64) -> SimSystem {
-    let bus = CanBusConfig::new(Time::new(1));
-    SimSystem {
-        frames: sys
-            .frames
-            .iter()
-            .enumerate()
-            .map(|(fi, (payload, signals))| SimFrame {
-                name: format!("F{fi}"),
-                priority: Priority::new(fi as u32 + 1),
-                transmission_time: bus
-                    .transmission_time(
-                        &CanFrameConfig::new(FrameFormat::Standard, *payload).expect("≤ 8"),
-                    )
-                    .r_plus,
-                frame_type: FrameType::Direct,
-                signals: signals
-                    .iter()
-                    .enumerate()
-                    .map(|(si, (period, pending))| ComSignal {
-                        name: format!("s{si}"),
-                        transfer: if *pending {
-                            TransferProperty::Pending
-                        } else {
-                            TransferProperty::Triggering
-                        },
-                        writes: trace::periodic_with_jitter(
-                            Time::new(*period),
-                            Time::ZERO,
-                            horizon,
-                            seed ^ (fi as u64) << 8 ^ si as u64,
-                        ),
-                    })
-                    .collect(),
-            })
-            .collect(),
-        tasks: sys
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(ti, (cet, f, s))| SimCpuTask {
-                name: format!("T{ti}"),
-                priority: Priority::new(ti as u32 + 1),
-                execution_time: Time::new(*cet),
-                activation: SimActivation::Delivery {
-                    frame: format!("F{f}"),
-                    signal: format!("s{s}"),
-                },
-            })
-            .collect(),
+/// Seeded write traces for every signal of `sys`, keyed `F<i>/s<j>`
+/// as [`net_system_from_spec`] expects.
+fn source_traces(sys: &RandomSystem, horizon: Time, seed: u64) -> BTreeMap<String, Vec<Time>> {
+    let mut traces = BTreeMap::new();
+    for (fi, (_, signals)) in sys.frames.iter().enumerate() {
+        for (si, (period, _)) in signals.iter().enumerate() {
+            traces.insert(
+                format!("F{fi}/s{si}"),
+                trace::periodic_with_jitter(
+                    Time::new(*period),
+                    Time::ZERO,
+                    horizon,
+                    seed ^ (fi as u64) << 8 ^ si as u64,
+                ),
+            );
+        }
     }
+    traces
 }
 
 /// Guards the property below against silently degenerating into a no-op:
@@ -200,7 +169,9 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let horizon = Time::new(150_000);
-        let report = run(&to_sim(&sys, horizon, seed), horizon);
+        let traces = source_traces(&sys, horizon, seed);
+        let sim = net_system_from_spec(&spec, &traces).expect("every source has a trace");
+        let report = run(&sim, horizon);
         for (name, result) in results.frames() {
             let observed = report.frame_worst_response[name];
             prop_assert!(

@@ -3,9 +3,10 @@
 //!
 //! A grid of seeded Fig. 2 variants — swept S3/S4 periods, CPU/bus
 //! speed ratios, and source release jitter — is run through both the
-//! fault-free simulation (`hem_sim::system::run`) and the hierarchical
-//! analysis. For every variant the simulation must stay within the
-//! analytic envelope:
+//! hierarchical analysis and the fault-free simulation
+//! (`hem_sim::network::run` on the system `hem_sim::from_spec` derives
+//! from the same spec). For every variant the simulation must stay
+//! within the analytic envelope:
 //!
 //! * observed worst-case response times ≤ analytic `r⁺` (tasks and
 //!   frames),
@@ -18,13 +19,15 @@
 //! analysis means the analysis is optimistic; hierarchical above flat
 //! means unpacking lost conservatism.
 
+use std::collections::BTreeMap;
+
 use hem_analysis::Priority;
 use hem_autosar_com::{FrameType, TransferProperty};
 use hem_bench::paper_system::PaperParams;
-use hem_can::{CanBusConfig, CanFrameConfig, FrameFormat};
+use hem_can::{CanBusConfig, FrameFormat};
 use hem_event_models::{EventModelExt, StandardEventModel};
-use hem_sim::com::ComSignal;
-use hem_sim::system::{self as sim, SimActivation, SimCpuTask, SimFrame, SimSystem};
+use hem_sim::from_spec::net_system_from_spec;
+use hem_sim::network::{run, NetReport, NetSystem};
 use hem_sim::trace;
 use hem_system::{
     analyze, ActivationSpec, AnalysisMode, FrameSpec, SignalSpec, SystemConfig, SystemResults,
@@ -132,69 +135,25 @@ fn analytic_spec(v: &Variant) -> SystemSpec {
         .task(task("T3", 2, 3, "s3"))
 }
 
-/// The behavioural side of the same variant: seeded jittered write
-/// traces feeding the simulator's fault-free COM/CAN/CPU path.
-fn behavioural_system(v: &Variant) -> SimSystem {
+/// The behavioural side of the same variant: [`analytic_spec`] run by
+/// the fault-free simulator, its sources replaced by seeded jittered
+/// write traces.
+fn behavioural_system(v: &Variant) -> NetSystem {
     let p = v.params();
-    let bus = CanBusConfig::new(Time::new(p.bit_time));
-    let wire = |payload| {
-        bus.transmission_time(
-            &CanFrameConfig::new(FrameFormat::Standard, payload).expect("payload within CAN"),
-        )
-        .r_plus
-    };
-    let writes = |period: i64, salt: u64| {
-        trace::periodic_with_jitter(
-            p.period_ticks(period),
-            v.jitter_ticks(),
-            v.horizon(),
-            v.seed ^ salt,
-        )
-    };
-    let signals_of = |frame: &str| {
-        signal_plan(&p)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (f, ..))| *f == frame)
-            .map(|(salt, (_, name, transfer, period))| ComSignal {
-                name: name.into(),
-                transfer,
-                writes: writes(period, salt as u64 + 1),
-            })
-            .collect::<Vec<_>>()
-    };
-    let task = |name: &str, cet_index: usize, prio: u32, signal: &str| SimCpuTask {
-        name: name.into(),
-        priority: Priority::new(prio),
-        execution_time: p.cet_ticks(cet_index),
-        activation: SimActivation::Delivery {
-            frame: "F1".into(),
-            signal: signal.into(),
-        },
-    };
-    SimSystem {
-        frames: vec![
-            SimFrame {
-                name: "F1".into(),
-                priority: Priority::new(1),
-                transmission_time: wire(4),
-                frame_type: FrameType::Direct,
-                signals: signals_of("F1"),
-            },
-            SimFrame {
-                name: "F2".into(),
-                priority: Priority::new(2),
-                transmission_time: wire(2),
-                frame_type: FrameType::Direct,
-                signals: signals_of("F2"),
-            },
-        ],
-        tasks: vec![
-            task("T1", 0, 1, "s1"),
-            task("T2", 1, 2, "s2"),
-            task("T3", 2, 3, "s3"),
-        ],
-    }
+    let traces: BTreeMap<String, Vec<Time>> = signal_plan(&p)
+        .into_iter()
+        .enumerate()
+        .map(|(salt, (frame, signal, _, period))| {
+            let writes = trace::periodic_with_jitter(
+                p.period_ticks(period),
+                v.jitter_ticks(),
+                v.horizon(),
+                v.seed ^ (salt as u64 + 1),
+            );
+            (format!("{frame}/{signal}"), writes)
+        })
+        .collect();
+    net_system_from_spec(&analytic_spec(v), &traces).expect("every source has a trace")
 }
 
 /// Simulates one variant and checks every observation against the
@@ -207,7 +166,7 @@ fn check_variant(v: &Variant) {
     .unwrap_or_else(|e| panic!("{v:?}: hierarchical analysis failed: {e}"));
     let flat = analyze(&analytic_spec(v), &SystemConfig::new(AnalysisMode::Flat))
         .unwrap_or_else(|e| panic!("{v:?}: flat analysis failed: {e}"));
-    let report = sim::run(&behavioural_system(v), v.horizon());
+    let report = run(&behavioural_system(v), v.horizon());
 
     // Response times: simulation ≤ hierarchical ≤ flat.
     for task in ["T1", "T2", "T3"] {
@@ -238,14 +197,14 @@ fn check_variant(v: &Variant) {
 
 /// `η⁺` event-count bounds: transmissions against the frame-activation
 /// stream, per-signal deliveries against the unpacked inner streams.
-fn check_counts(v: &Variant, hem: &SystemResults, report: &sim::SimReport) {
+fn check_counts(v: &Variant, hem: &SystemResults, report: &NetReport) {
     let p = v.params();
     // All frame activations happen inside `[0, horizon)`; `+1` covers
     // closed-window edge effects conservatively.
     let activation_window = v.horizon() + Time::ONE;
     for frame in ["F1", "F2"] {
         let transmitted = report
-            .transmissions
+            .frame_transmissions
             .get(frame)
             .map_or(0, |t| t.len() as u64);
         let bound = hem
@@ -347,9 +306,9 @@ fn corpus_traces(
     scenario: &hem_system::dsl::Scenario,
     horizon: Time,
     seed: u64,
-) -> std::collections::BTreeMap<String, Vec<Time>> {
+) -> BTreeMap<String, Vec<Time>> {
     use hem_system::dsl::SourceDecl;
-    let mut traces = std::collections::BTreeMap::new();
+    let mut traces = BTreeMap::new();
     let mut salt = 0u64;
     let mut add = |key: String, period: i64, jitter: i64, salt: u64| {
         traces.insert(
