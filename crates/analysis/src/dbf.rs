@@ -81,7 +81,7 @@ pub enum EdfVerdict {
         at: Time,
         /// Demand at that window.
         demand: Time,
-        /// Supply at that window.
+        /// Supply at that window: `at` itself on a dedicated resource.
         supply: Time,
     },
 }
@@ -94,36 +94,22 @@ impl EdfVerdict {
     }
 }
 
-/// EDF schedulability on a *dedicated* resource (`supply(Δt) = Δt`):
-/// the processor-demand criterion `Σ dbfᵢ(Δt) ≤ Δt`.
+/// EDF schedulability on a dedicated resource: the processor-demand
+/// criterion `Σ dbfᵢ(Δt) ≤ Δt`.
 ///
-/// All window lengths up to the synchronous busy period are checked at
-/// the demand step points (each task's deadline plus its activation
-/// breakpoints) — between steps the demand is constant while the supply
-/// grows, so checking steps suffices.
+/// The synchronous busy period is the least fixed point of
+/// `w = Σᵢ ηᵢ⁺(w)·Cᵢ`. Every window length up to it is checked at the
+/// demand step points (each task's deadline plus its activation
+/// breakpoints): between steps the demand is constant while the supply
+/// `Δt` grows, so checking steps suffices.
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::NoConvergence`] if the busy-period bound
-/// itself diverges (total utilization ≥ 1).
+/// Returns [`AnalysisError::NoConvergence`] if the busy period exceeds
+/// the configured limits (total utilization > 1, or a busy period
+/// beyond `config.max_busy_window`).
 pub fn edf_schedulable(
     tasks: &[EdfTask],
-    config: &AnalysisConfig,
-) -> Result<EdfVerdict, AnalysisError> {
-    edf_schedulable_with_supply(tasks, |dt| dt, "dedicated", config)
-}
-
-/// EDF schedulability under an arbitrary monotone supply bound function
-/// (e.g. a [`PeriodicResource`](crate::resource::PeriodicResource)).
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::NoConvergence`] if the busy-period bound
-/// diverges under the supply's long-run rate.
-pub fn edf_schedulable_with_supply(
-    tasks: &[EdfTask],
-    supply: impl Fn(Time) -> Time,
-    supply_name: &str,
     config: &AnalysisConfig,
 ) -> Result<EdfVerdict, AnalysisError> {
     if tasks.is_empty() {
@@ -131,18 +117,14 @@ pub fn edf_schedulable_with_supply(
             busy_period: Time::ZERO,
         });
     }
-    // Busy-period bound: least w with Σ η⁺(w)·C ≤ supply(w), found as the
-    // fixed point of w = inverse-supply(total demand), conservatively via
-    // iteration on w ← smallest t with supply(t) ≥ load(w).
     let busy = fixed_point(
-        supply_name,
+        "edf_busy_period",
         Time::ONE,
         |w| {
-            let load: Time = tasks
+            tasks
                 .iter()
                 .map(|t| t.wcet * t.input.eta_plus(w) as i64)
-                .sum();
-            invert_supply(&supply, load, config.max_busy_window)
+                .sum()
         },
         config,
     )?;
@@ -157,12 +139,11 @@ pub fn edf_schedulable_with_supply(
                 break;
             }
             let demand = demand_bound(tasks, at);
-            let available = supply(at);
-            if demand > available {
+            if demand > at {
                 return Ok(EdfVerdict::Overload {
                     at,
                     demand,
-                    supply: available,
+                    supply: at,
                 });
             }
             n += 1;
@@ -178,30 +159,6 @@ pub fn edf_schedulable_with_supply(
         }
     }
     Ok(EdfVerdict::Schedulable { busy_period: busy })
-}
-
-/// Smallest `t` with `supply(t) ≥ demand`, capped at `max`.
-fn invert_supply(supply: &impl Fn(Time) -> Time, demand: Time, max: Time) -> Time {
-    if demand <= Time::ZERO {
-        return Time::ZERO;
-    }
-    let mut hi = Time::ONE;
-    while supply(hi) < demand {
-        hi = hi * 2;
-        if hi > max {
-            return hi; // let the fixed-point guard report divergence
-        }
-    }
-    let mut lo = Time::ZERO;
-    while (hi - lo).ticks() > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if supply(mid) >= demand {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
 }
 
 #[cfg(test)]
@@ -293,12 +250,25 @@ mod tests {
     }
 
     #[test]
-    fn invert_supply_dedicated() {
-        let id = |t: Time| t;
-        assert_eq!(invert_supply(&id, Time::ZERO, Time::new(1000)), Time::ZERO);
+    fn edf_busy_period_up_to_the_cap_converges() {
+        // A busy period within `max_busy_window` converges, however
+        // close to the cap it lies.
+        let one = [periodic_task("t", 9_000_000, 20_000_000, 20_000_000)];
         assert_eq!(
-            invert_supply(&id, Time::new(7), Time::new(1000)),
-            Time::new(7)
+            edf_schedulable(&one, &AnalysisConfig::default()),
+            Ok(EdfVerdict::Schedulable {
+                busy_period: Time::new(9_000_000)
+            })
+        );
+        let small = [periodic_task("t", 90, 200, 200)];
+        assert_eq!(
+            edf_schedulable(
+                &small,
+                &AnalysisConfig::with_max_busy_window(Time::new(100))
+            ),
+            Ok(EdfVerdict::Schedulable {
+                busy_period: Time::new(90)
+            })
         );
     }
 }

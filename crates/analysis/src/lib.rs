@@ -3,15 +3,17 @@
 //!
 //! CPA analyses each resource of a distributed system in isolation using
 //! classic busy-window response-time analysis (Lehoczky's technique, as
-//! used by Richter's framework — paper §2). This crate provides the three
-//! local analyses needed by the DATE'08 HEM paper's evaluation and common
-//! extensions:
+//! used by Richter's framework — paper §2). This crate provides the two
+//! local analyses of the DATE'08 HEM paper's evaluation:
 //!
 //! * [`spp`] — static-priority **preemptive** scheduling (the CPU in the
 //!   paper's Table 3),
 //! * [`spnp`] — static-priority **non-preemptive** scheduling (the CAN
 //!   bus arbitration in Table 2),
-//! * [`rr`] — round-robin scheduling (a common alternative arbiter).
+//!
+//! plus the EDF demand-bound test ([`dbf`]), the cheap [`necessary`]
+//! tests that design-space exploration prunes with, [`utilization`]
+//! bounds and priority [`assignment`].
 //!
 //! Each analysis consumes [`AnalysisTask`]s — a worst/best-case execution
 //! time interval, a priority, and an activating event model — and
@@ -46,13 +48,9 @@ mod config;
 pub mod dbf;
 mod error;
 pub mod necessary;
-pub mod resource;
-pub mod rr;
-pub mod service;
 pub mod spnp;
 pub mod spp;
 mod task;
-pub mod tdma;
 pub mod utilization;
 
 pub use busy_window::{fixed_point, BUDGET_POLL_INTERVAL};

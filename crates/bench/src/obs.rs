@@ -5,11 +5,15 @@
 //! telemetry (request scopes, latency histograms, gauges, the flight
 //! ring) and one with `observe(false)`, where every record call
 //! reduces to a no-op handle branch. Each repetition times a noop
-//! drive immediately followed by an instrumented drive, so slow epochs
-//! on a busy machine hit both sides of the pair alike, and contributes
-//! one paired percentage difference. The reported `overhead_pct` is
-//! the **median** of those differences and `overhead_iqr_pct` their
-//! interquartile range ([`paired_overhead`]). Neither is floored: noise
+//! drive and an instrumented drive back to back, so slow epochs on a
+//! busy machine hit both sides of the pair alike, and contributes one
+//! paired percentage difference. Even repetitions run the noop drive
+//! first and odd ones the instrumented drive, so whatever the second
+//! drive of a pair gains or loses from the first (warm caches, a
+//! grown heap) does not land on one side only. The reported
+//! `overhead_pct` is the **median** of those differences and
+//! `overhead_iqr_pct` their interquartile range
+//! ([`paired_overhead`]). Neither is floored: noise
 //! moves the median either way, so a cost that is truly near zero
 //! reads near zero, sometimes below it, and a telemetry regression
 //! shifts the whole distribution up. `bench_compare` gates
@@ -45,9 +49,10 @@ const SESSIONS: usize = 48;
 const ROUNDS: usize = 12;
 /// Every Nth session is analysed after each round.
 const ANALYZE_EVERY: usize = 8;
-/// Wall-clock repetitions. Each runs noop then instrumented
-/// back-to-back and contributes one paired difference; the median over
-/// the repetitions is the reported overhead.
+/// Wall-clock repetitions. Each runs noop and instrumented
+/// back-to-back, in alternating order, and contributes one paired
+/// difference; the median over the repetitions is the reported
+/// overhead.
 const REPS: usize = 7;
 
 /// What the overhead benchmark measured.
@@ -146,9 +151,15 @@ pub fn run_obs_overhead(base_dir: &Path) -> ObsReport {
     // but no trace export.
     let pairs: Vec<(f64, f64)> = (0..REPS)
         .map(|rep| {
-            let (noop_ms, _) = drive_once(&base_dir.join(format!("obs-noop-{rep}")), false, false);
-            let (obs_ms, _) = drive_once(&base_dir.join(format!("obs-full-{rep}")), true, false);
-            (noop_ms, obs_ms)
+            let noop = || drive_once(&base_dir.join(format!("obs-noop-{rep}")), false, false).0;
+            let obs = || drive_once(&base_dir.join(format!("obs-full-{rep}")), true, false).0;
+            if rep % 2 == 0 {
+                let noop_ms = noop();
+                (noop_ms, obs())
+            } else {
+                let obs_ms = obs();
+                (noop(), obs_ms)
+            }
         })
         .collect();
     let (overhead_pct, overhead_iqr_pct) = paired_overhead(&pairs);

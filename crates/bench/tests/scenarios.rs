@@ -3,15 +3,15 @@
 //! [`hem_bench::scenarios::corpus`]) is analyzed in all three modes
 //! with mode dominance checked per entity, re-run with the analytic
 //! fast path toggled to prove determinism, and
-//! its periodic CPU workloads are re-analyzed under TDMA, round-robin,
-//! and EDF resource-sharing policies.
+//! its periodic CPU workloads are re-checked with the EDF
+//! processor-demand criterion against their SPP bounds.
 //!
 //! The DSL round-trip and golden-number gates live in the workspace
 //! `tests/scenarios.rs`; the sim-vs-analysis leg lives in
 //! `tests/differential_sim_vs_analysis.rs`. All three iterate the same
 //! directory, so adding a scenario enrolls it everywhere at once.
 
-use hem_analysis::{dbf, rr, spp, tdma, AnalysisConfig, AnalysisTask, Priority};
+use hem_analysis::{dbf, spp, AnalysisConfig, AnalysisTask, Priority};
 use hem_bench::scenarios::{corpus, CorpusEntry};
 use hem_event_models::{EventModelExt, ModelRef, StandardEventModel};
 use hem_system::dsl::{Scenario, SourceDecl};
@@ -144,92 +144,48 @@ fn periodic_model(period: i64, jitter: i64) -> ModelRef {
 }
 
 #[test]
-fn corpus_workloads_hold_under_tdma_rr_and_edf() {
+fn corpus_workloads_hold_under_edf() {
     let config = AnalysisConfig::default();
-    let mut slot_sets = 0usize;
     let mut edf_sets = 0usize;
     for entry in corpus() {
         for (cpu, set) in periodic_cpu_sets(&entry.scenario) {
-            let tasks: Vec<AnalysisTask> = set.iter().map(|(t, _)| t.clone()).collect();
-            let total_c: Time = tasks.iter().map(|t| t.wcet).sum();
-            let min_p = set.iter().map(|&(_, p)| p).min().expect("non-empty set");
             let utilization: f64 = set
                 .iter()
                 .map(|(t, p)| t.wcet.ticks() as f64 / p.ticks() as f64)
                 .sum();
+            if utilization >= 0.99 {
+                continue;
+            }
+            edf_sets += 1;
 
             // EDF (implicit deadlines) versus SPP: fixed-priority
             // schedulability is witnessed by r⁺ ≤ P, and EDF is optimal
             // on a dedicated resource, so an SPP witness forces the
             // processor-demand criterion to pass.
-            if utilization < 0.99 {
-                edf_sets += 1;
-                let spp_results = spp::analyze(&tasks, &config)
-                    .unwrap_or_else(|e| panic!("{}/{cpu}: SPP failed: {e}", entry.name));
-                let spp_meets_deadlines = set
-                    .iter()
-                    .zip(&spp_results)
-                    .all(|((_, p), r)| r.response.r_plus <= *p);
-                let edf_tasks: Vec<dbf::EdfTask> = set
-                    .iter()
-                    .map(|(t, p)| dbf::EdfTask::new(&t.name, t.wcet, *p, t.input.clone()))
-                    .collect();
-                let verdict = dbf::edf_schedulable(&edf_tasks, &config)
-                    .unwrap_or_else(|e| panic!("{}/{cpu}: EDF test failed: {e}", entry.name));
-                if spp_meets_deadlines {
-                    assert!(
-                        verdict.is_schedulable(),
-                        "{}/{cpu}: SPP meets every implicit deadline but the \
-                         processor-demand criterion rejects the set: {verdict:?}",
-                        entry.name
-                    );
-                }
-            }
-
-            // TDMA and round-robin need each task's demand to fit its
-            // slot's long-run supply; with slots proportional to WCET
-            // that reduces to ΣC < min P.
-            if total_c >= min_p {
-                continue;
-            }
-            slot_sets += 1;
-
-            let tdma_tasks: Vec<tdma::TdmaTask> = tasks
+            let tasks: Vec<AnalysisTask> = set.iter().map(|(t, _)| t.clone()).collect();
+            let spp_results = spp::analyze(&tasks, &config)
+                .unwrap_or_else(|e| panic!("{}/{cpu}: SPP failed: {e}", entry.name));
+            let spp_meets_deadlines = set
                 .iter()
-                .map(|t| tdma::TdmaTask::new(t.clone(), t.wcet * 2))
-                .collect();
-            let cycle: Time = tdma_tasks.iter().map(|t| t.slot).sum();
-            let tdma_results = tdma::analyze(&tdma_tasks, cycle, &config)
-                .unwrap_or_else(|e| panic!("{}/{cpu}: TDMA failed: {e}", entry.name));
-            for (t, r) in tasks.iter().zip(&tdma_results) {
-                assert!(
-                    r.response.r_plus >= t.wcet,
-                    "{}/{cpu}: TDMA bound {} below WCET {}",
-                    entry.name,
-                    r.response.r_plus,
-                    t.wcet
-                );
-            }
-
-            let rr_tasks: Vec<rr::RrTask> = tasks
+                .zip(&spp_results)
+                .all(|((_, p), r)| r.response.r_plus <= *p);
+            let edf_tasks: Vec<dbf::EdfTask> = set
                 .iter()
-                .map(|t| rr::RrTask::new(t.clone(), t.wcet))
+                .map(|(t, p)| dbf::EdfTask::new(&t.name, t.wcet, *p, t.input.clone()))
                 .collect();
-            let rr_results = rr::analyze(&rr_tasks, &config)
-                .unwrap_or_else(|e| panic!("{}/{cpu}: round-robin failed: {e}", entry.name));
-            for (t, r) in tasks.iter().zip(&rr_results) {
+            let verdict = dbf::edf_schedulable(&edf_tasks, &config)
+                .unwrap_or_else(|e| panic!("{}/{cpu}: EDF test failed: {e}", entry.name));
+            if spp_meets_deadlines {
                 assert!(
-                    r.response.r_plus >= t.wcet,
-                    "{}/{cpu}: round-robin bound {} below WCET {}",
-                    entry.name,
-                    r.response.r_plus,
-                    t.wcet
+                    verdict.is_schedulable(),
+                    "{}/{cpu}: SPP meets every implicit deadline but the \
+                     processor-demand criterion rejects the set: {verdict:?}",
+                    entry.name
                 );
             }
         }
     }
-    // The corpus is expected to keep feeding both legs; if these trip,
+    // The corpus is expected to keep feeding this leg; if this trips,
     // scenarios with ≥ 2 periodic tasks per CPU were removed.
     assert!(edf_sets >= 10, "only {edf_sets} EDF-checked task sets");
-    assert!(slot_sets >= 8, "only {slot_sets} slot-based task sets");
 }

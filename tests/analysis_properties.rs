@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 
-use hem_repro::analysis::resource::PeriodicResource;
-use hem_repro::analysis::{rr, spnp, spp, AnalysisConfig, AnalysisTask, Priority};
+use hem_repro::analysis::{spnp, spp, AnalysisConfig, AnalysisTask, Priority};
 use hem_repro::event_models::{EventModelExt, StandardEventModel};
 use hem_repro::sim::canbus::{self, QueuedFrame};
 use hem_repro::sim::cpu::{self, SimTask};
@@ -212,53 +211,6 @@ proptest! {
         }
     }
 
-    /// Service-curve chaining is sound: never tighter than the exact SPP
-    /// busy window, exact for the top-priority task.
-    #[test]
-    fn service_chain_bounds_spp(cfg in task_set_strategy()) {
-        use hem_repro::analysis::service::{fp_analyze, FullService};
-        use std::sync::Arc;
-        let tasks = analysis_tasks(&cfg);
-        let exact = spp::analyze(&tasks, &AnalysisConfig::default()).expect("schedulable");
-        let (via_service, _rem) =
-            fp_analyze(&tasks, Arc::new(FullService), &AnalysisConfig::default())
-                .expect("schedulable");
-        prop_assert_eq!(via_service[0].response.r_plus, exact[0].response.r_plus);
-        for (s, e) in via_service.iter().zip(&exact) {
-            prop_assert!(
-                s.response.r_plus >= e.response.r_plus,
-                "{}: service {} < exact {}", s.name, s.response.r_plus, e.response.r_plus
-            );
-        }
-    }
-
-    /// A partition never beats the dedicated processor, and a full
-    /// partition matches it exactly.
-    #[test]
-    fn partition_ordering(cfg in task_set_strategy(), theta in 1i64..100, pi in 100i64..200) {
-        let tasks = analysis_tasks(&cfg);
-        let dedicated = spp::analyze(&tasks, &AnalysisConfig::default()).expect("schedulable");
-        let theta = theta.min(pi);
-        let partition = PeriodicResource::new(Time::new(pi), Time::new(theta)).expect("valid");
-        if let Ok(on_partition) = hem_repro::analysis::resource::analyze_on(
-            &tasks,
-            &partition,
-            &AnalysisConfig::with_max_busy_window(Time::new(1_000_000)),
-        ) {
-            for (d, p) in dedicated.iter().zip(&on_partition) {
-                prop_assert!(p.response.r_plus >= d.response.r_plus, "{}", d.name);
-            }
-        }
-        let full = PeriodicResource::new(Time::new(pi), Time::new(pi)).expect("valid");
-        let on_full = hem_repro::analysis::resource::analyze_on(
-            &tasks,
-            &full,
-            &AnalysisConfig::default(),
-        )
-        .expect("full partition schedulable");
-        prop_assert_eq!(on_full, dedicated);
-    }
-
     /// Audsley's OPA is sound (its order is feasible) and complete
     /// relative to deadline-monotonic (whenever DM works, OPA succeeds).
     #[test]
@@ -294,29 +246,6 @@ proptest! {
         }
         if dm_ok {
             prop_assert!(opa.is_some(), "OPA must succeed whenever DM does");
-        }
-    }
-
-    /// Round-robin slot budgets isolate a task from any interferer load:
-    /// the bound never exceeds own demand plus full rounds of foreign
-    /// slots.
-    #[test]
-    fn rr_isolation_bound(cfg in task_set_strategy(), slot in 5i64..40) {
-        let slot = Time::new(slot);
-        let rr_tasks: Vec<rr::RrTask> = analysis_tasks(&cfg)
-            .into_iter()
-            .map(|t| rr::RrTask::new(t, slot))
-            .collect();
-        if let Ok(results) = rr::analyze(&rr_tasks, &AnalysisConfig::default()) {
-            for (i, r) in results.iter().enumerate() {
-                let own = rr_tasks[i].task.wcet * r.busy_activations as i64;
-                let rounds = (own.ticks() + slot.ticks() - 1) / slot.ticks();
-                let foreign = slot * rounds * (rr_tasks.len() as i64 - 1);
-                prop_assert!(
-                    r.response.r_plus <= own + foreign,
-                    "{}: {} > {}", r.name, r.response.r_plus, own + foreign
-                );
-            }
         }
     }
 }
