@@ -77,12 +77,11 @@ pub enum EdfVerdict {
     },
     /// Demand exceeds supply at this window length.
     Overload {
-        /// The first violating window length.
+        /// The first violating window length, which is also the supply
+        /// the dedicated resource offers there.
         at: Time,
         /// Demand at that window.
         demand: Time,
-        /// Supply at that window: `at` itself on a dedicated resource.
-        supply: Time,
     },
 }
 
@@ -140,11 +139,7 @@ pub fn edf_schedulable(
             }
             let demand = demand_bound(tasks, at);
             if demand > at {
-                return Ok(EdfVerdict::Overload {
-                    at,
-                    demand,
-                    supply: at,
-                });
+                return Ok(EdfVerdict::Overload { at, demand });
             }
             n += 1;
             if n > config.max_activations {
@@ -206,10 +201,9 @@ mod tests {
         let tasks = vec![periodic_task("a", 3, 3, 10), periodic_task("b", 3, 4, 10)];
         let v = edf_schedulable(&tasks, &AnalysisConfig::default()).unwrap();
         match v {
-            EdfVerdict::Overload { at, demand, supply } => {
+            EdfVerdict::Overload { at, demand } => {
                 assert_eq!(at, Time::new(4));
                 assert_eq!(demand, Time::new(6));
-                assert_eq!(supply, Time::new(4));
             }
             EdfVerdict::Schedulable { .. } => panic!("should overload"),
         }

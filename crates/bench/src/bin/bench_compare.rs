@@ -43,7 +43,8 @@
 //! ratio of wall times gated against an **absolute** ceiling
 //! ([`OBS_OVERHEAD_LIMIT_PCT`]) rather than the baseline, so serving
 //! telemetry can never silently grow past its budget, and its spread
-//! `obs.overhead_iqr_pct` is reported only; likewise
+//! `obs.overhead_iqr_pct` and the A/A noise floor `obs.aa_pct` are
+//! reported only; likewise
 //! `explore.pruned_pct` is gated against the absolute
 //! [`EXPLORE_PRUNED_FLOOR_PCT`] floor and `explore.configs_per_s` is
 //! throughput over wall time (reported only). Everything else
@@ -131,9 +132,10 @@ fn classify(path: &str) -> Class {
         // reported, never compared (the counts pin the work exactly).
         return Class::Informational;
     }
-    if path == "obs.overhead_iqr_pct" {
-        // The spread of the overhead pairs: context for the gated
-        // median next to it, never compared.
+    if path == "obs.overhead_iqr_pct" || path == "obs.aa_pct" {
+        // The spread of the overhead pairs and the A/A leg's noise
+        // floor: context for the gated median next to them, never
+        // compared.
         return Class::Informational;
     }
     if path == "analytic.hit_rate_pct" || path == "analytic.fig2.speedup" {
@@ -776,6 +778,7 @@ mod tests {
         assert_eq!(classify("serving.injected_faults"), Class::Exact);
         assert_eq!(classify("obs.overhead_pct"), Class::Bounded);
         assert_eq!(classify("obs.overhead_iqr_pct"), Class::Informational);
+        assert_eq!(classify("obs.aa_pct"), Class::Informational);
         assert_eq!(classify("obs.spans"), Class::Exact);
         assert_eq!(classify("obs.dump_bytes"), Class::Exact);
         assert_eq!(

@@ -560,8 +560,8 @@ fn main() {
         serving.stale_served
     );
     println!(
-        "obs overhead: {:.2}% (IQR {:.2}) vs noop recorder, {} trace spans, {} flight-dump bytes",
-        obs.overhead_pct, obs.overhead_iqr_pct, obs.spans, obs.dump_bytes
+        "obs overhead: {:.2}% (IQR {:.2}, A/A {:.2}) vs noop recorder, {} trace spans, {} flight-dump bytes",
+        obs.overhead_pct, obs.overhead_iqr_pct, obs.aa_pct, obs.spans, obs.dump_bytes
     );
     println!("wrote BENCH_analysis.json, BENCH_sim_trace.json, BENCH_convergence.jsonl");
 }

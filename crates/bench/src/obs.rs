@@ -19,6 +19,11 @@
 //! shifts the whole distribution up. `bench_compare` gates
 //! `overhead_pct` against an absolute 5% bound and reports the IQR.
 //!
+//! After the gated pairs, an **A/A leg** times noop against noop with
+//! the same pairing and alternation and reports its median as
+//! `aa_pct`: what the statistic reads when both sides run identical
+//! code, so the noise floor under `overhead_pct` is a measured number.
+//!
 //! Trace-event *emission* (`--trace-out`) is an opt-in debug flag —
 //! it clones every request's span tree into the recorder and is not
 //! part of the cost every production request pays — so the timed runs
@@ -63,6 +68,9 @@ pub struct ObsReport {
     pub overhead_pct: f64,
     /// Interquartile range of the paired differences, in percent.
     pub overhead_iqr_pct: f64,
+    /// The same statistic with both sides of every pair running the
+    /// no-op recorder (the A/A leg), in percent: the noise floor.
+    pub aa_pct: f64,
     /// Trace slices the traced drive emitted (deterministic).
     pub spans: u64,
     /// Bytes of the flight-recorder dump (deterministic).
@@ -75,8 +83,8 @@ impl ObsReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"overhead_pct\":{:.2},\"overhead_iqr_pct\":{:.2},\"spans\":{},\"dump_bytes\":{}}}",
-            self.overhead_pct, self.overhead_iqr_pct, self.spans, self.dump_bytes
+            "{{\"overhead_pct\":{:.2},\"overhead_iqr_pct\":{:.2},\"aa_pct\":{:.2},\"spans\":{},\"dump_bytes\":{}}}",
+            self.overhead_pct, self.overhead_iqr_pct, self.aa_pct, self.spans, self.dump_bytes
         )
     }
 }
@@ -149,26 +157,38 @@ pub fn run_obs_overhead(base_dir: &Path) -> ObsReport {
     let (spans, dump_bytes) = measured.expect("traced run reports artifacts");
     // The timed pairs drive the default-on configuration: observed,
     // but no trace export.
-    let pairs: Vec<(f64, f64)> = (0..REPS)
-        .map(|rep| {
-            let noop = || drive_once(&base_dir.join(format!("obs-noop-{rep}")), false, false).0;
-            let obs = || drive_once(&base_dir.join(format!("obs-full-{rep}")), true, false).0;
-            if rep % 2 == 0 {
-                let noop_ms = noop();
-                (noop_ms, obs())
-            } else {
-                let obs_ms = obs();
-                (noop(), obs_ms)
-            }
-        })
-        .collect();
-    let (overhead_pct, overhead_iqr_pct) = paired_overhead(&pairs);
+    let (overhead_pct, overhead_iqr_pct) =
+        paired_overhead(&timed_pairs(base_dir, ["noop", "full"], true));
+    let (aa_pct, _) = paired_overhead(&timed_pairs(base_dir, ["aa-a", "aa-b"], false));
     ObsReport {
         overhead_pct,
         overhead_iqr_pct,
+        aa_pct,
         spans,
         dump_bytes,
     }
+}
+
+/// `REPS` `(noop_ms, candidate_ms)` pairs, the candidate drive observed
+/// or not as `observe` says. Even repetitions drive the noop side
+/// first, odd ones the candidate. The two sides' directory names are
+/// equally long: the in-memory disk keys every file by its path, so a
+/// longer name alone costs measurable time.
+fn timed_pairs(base_dir: &Path, sides: [&str; 2], observe: bool) -> Vec<(f64, f64)> {
+    (0..REPS)
+        .map(|rep| {
+            let dir = |side: &str| base_dir.join(format!("obs-{side}-{rep}"));
+            let noop = || drive_once(&dir(sides[0]), false, false).0;
+            let candidate = || drive_once(&dir(sides[1]), observe, false).0;
+            if rep % 2 == 0 {
+                let noop_ms = noop();
+                (noop_ms, candidate())
+            } else {
+                let candidate_ms = candidate();
+                (noop(), candidate_ms)
+            }
+        })
+        .collect()
 }
 
 /// The median and interquartile range of the paired percentage
@@ -203,6 +223,7 @@ mod tests {
         let report = ObsReport {
             overhead_pct: -0.5,
             overhead_iqr_pct: 1.25,
+            aa_pct: 0.75,
             spans: 420,
             dump_bytes: 8192,
         };
@@ -210,7 +231,7 @@ mod tests {
         hem_obs::json::validate(&json).expect("obs section is valid JSON");
         assert_eq!(
             json,
-            "{\"overhead_pct\":-0.50,\"overhead_iqr_pct\":1.25,\"spans\":420,\"dump_bytes\":8192}"
+            "{\"overhead_pct\":-0.50,\"overhead_iqr_pct\":1.25,\"aa_pct\":0.75,\"spans\":420,\"dump_bytes\":8192}"
         );
     }
 

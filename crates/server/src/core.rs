@@ -30,7 +30,7 @@ use hem_obs::json::{self, JsonValue};
 use hem_obs::{Counter, Gauge, MemoryRecorder, RecorderHandle, TraceEvent};
 
 use crate::event::SessionEvent;
-use crate::flight::{FlightRecord, FlightRecorder, FLIGHT_FILE};
+use crate::flight::{FlightRecord, FlightRecorder, Outcome, FLIGHT_FILE};
 use crate::hash::id_hex;
 use crate::session::{valid_name, Analyzed, AppendOutcome, Session, SessionEnv};
 use crate::storage::{RealStorage, Storage};
@@ -140,8 +140,6 @@ pub struct ServerCore {
     /// Server-wide logical clock the per-request tick traces are
     /// spliced onto, so the exported trace is one consistent timeline.
     trace_clock: AtomicU64,
-    /// Requests handled so far — the deterministic "uptime" unit.
-    uptime_ticks: AtomicU64,
     observe: bool,
     trace_out: Option<PathBuf>,
 }
@@ -159,96 +157,53 @@ fn ok_prefix(op: &str) -> String {
     format!("{{\"ok\":true,\"op\":\"{op}\"")
 }
 
-fn error_response(kind: &str, message: &str) -> String {
+/// A response line plus what dispatch knew about it: the outcome its
+/// flight record is tagged with and the seq it acknowledged.
+struct Reply {
+    line: String,
+    outcome: Outcome,
+    seq: Option<u64>,
+}
+
+impl Reply {
+    fn new(outcome: Outcome, seq: Option<u64>, line: String) -> Self {
+        Reply { line, outcome, seq }
+    }
+}
+
+fn error_response(kind: &'static str, message: &str) -> Reply {
     let mut out = String::from("{\"ok\":false,\"error\":");
     json::write_escaped(&mut out, kind);
     out.push_str(",\"message\":");
     json::write_escaped(&mut out, message);
     out.push('}');
-    out
+    Reply::new(Outcome::Error(kind), None, out)
 }
 
-/// A parsed request line's addressing fields.
+/// What serves an op: a server-wide handler, or one run against the
+/// session the request names.
+#[derive(Clone, Copy)]
+enum Handler {
+    Server(fn(&ServerCore) -> Reply),
+    Session(fn(&ServerCore, &str, &JsonValue) -> Reply),
+}
+
+/// An op's `'static` name (its span, histogram and flight label), its
+/// `queue_wait_us/…` and `service_us/…` histograms, and its handler.
+type Route = (&'static str, [&'static str; 2], Option<Handler>);
+
+/// The histograms of every op without its own series.
+const OTHER: [&str; 2] = ["queue_wait_us/other", "service_us/other"];
+
+/// The route of a request naming no known op: its label is `"?"`, so
+/// labels stay a closed set.
+const UNROUTED: Route = ("?", OTHER, None);
+
+/// A parsed request line's route and addressing fields.
 struct Request {
-    op: String,
+    route: Route,
     session: Option<String>,
     parsed: JsonValue,
-}
-
-/// The op as a `'static` name, for span/histogram/flight labels.
-/// Unknown ops become `"?"` so labels stay a closed set.
-fn op_static(op: &str) -> &'static str {
-    match op {
-        "ping" => "ping",
-        "stats" => "stats",
-        "metrics" => "metrics",
-        "debug_dump" => "debug_dump",
-        "open" => "open",
-        "mutate" => "mutate",
-        "analyze" => "analyze",
-        "result" => "result",
-        "close" => "close",
-        "debug_panic" => "debug_panic",
-        _ => "?",
-    }
-}
-
-/// Histogram name for queue wait of `op`. Only the serving-relevant
-/// ops get their own series; the rest pool under `other`.
-fn queue_wait_histogram(op: &'static str) -> &'static str {
-    match op {
-        "open" => "queue_wait_us/open",
-        "mutate" => "queue_wait_us/mutate",
-        "analyze" => "queue_wait_us/analyze",
-        "result" => "queue_wait_us/result",
-        _ => "queue_wait_us/other",
-    }
-}
-
-/// Histogram name for service time of `op` (queue wait excluded).
-fn service_histogram(op: &'static str) -> &'static str {
-    match op {
-        "open" => "service_us/open",
-        "mutate" => "service_us/mutate",
-        "analyze" => "service_us/analyze",
-        "result" => "service_us/result",
-        _ => "service_us/other",
-    }
-}
-
-/// Derives the flight-record outcome tag from the response line. The
-/// protocol's responses are shaped by this module, so substring checks
-/// against the stable markers are exact, not heuristic.
-fn outcome_of(op: &'static str, response: &str) -> String {
-    if response.starts_with("{\"ok\":true") {
-        if response.contains("\"duplicate\":true") {
-            return "ok_duplicate".to_string();
-        }
-        if response.contains("\"stale\":true") {
-            return "ok_stale".to_string();
-        }
-        if op == "open" && response.contains("\"recovered\":true") {
-            return "ok_recovered".to_string();
-        }
-        return "ok".to_string();
-    }
-    let kind = response
-        .split("\"error\":\"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .unwrap_or("unknown");
-    if kind == "panic" {
-        "panic".to_string()
-    } else {
-        format!("error:{kind}")
-    }
-}
-
-/// The `"seq"` the response acknowledged, if it carries one.
-fn response_seq(response: &str) -> Option<u64> {
-    let rest = response.split("\"seq\":").nth(1)?;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 impl ServerCore {
@@ -317,7 +272,6 @@ impl ServerCore {
             panics_isolated: AtomicU64::new(0),
             flight: FlightRecorder::new(),
             trace_clock: AtomicU64::new(0),
-            uptime_ticks: AtomicU64::new(0),
             observe,
             trace_out,
         })
@@ -349,40 +303,37 @@ impl ServerCore {
         let request = Self::parse_request(line);
         if !self.observe {
             return match request {
-                Ok(req) => self.dispatch_guarded(&req),
-                Err(resp) => resp,
+                Ok(req) => self.dispatch_guarded(&req).line,
+                Err(reply) => reply.line,
             };
         }
-        let (op_name, session, req_seq) = match &request {
+        let (route, session, req_seq) = match &request {
             Ok(req) => (
-                op_static(&req.op),
-                req.session.clone(),
+                req.route,
+                req.session.as_deref(),
                 req.parsed
                     .get("seq")
                     .and_then(JsonValue::as_f64)
                     .filter(|n| n.fract() == 0.0 && *n >= 0.0)
                     .map_or(0, |n| n as u64),
             ),
-            Err(_) => ("?", None, 0),
+            Err(_) => (UNROUTED, None, 0),
         };
-        let id = trace::trace_id(session.as_deref(), req_seq);
-        trace::begin_request(id, op_name, self.trace_out.is_some());
+        let (op, [queue_wait_us, service_us], _) = route;
+        let id = trace::trace_id(session, req_seq);
+        trace::begin_request(id, op, self.trace_out.is_some());
         let started = Instant::now();
-        let response = match request {
-            Ok(req) => self.dispatch_guarded(&req),
-            Err(resp) => resp,
+        let (reply, session) = match request {
+            Ok(req) => (self.dispatch_guarded(&req), req.session),
+            Err(reply) => (reply, None),
         };
         let service = started.elapsed();
         let collected = trace::finish_request()
             .unwrap_or_else(|| unreachable!("begin_request installed a scope on this thread"));
         if let Some(wait) = queue_wait {
-            self.metrics
-                .observe(queue_wait_histogram(op_name), wait.as_micros() as u64);
+            self.metrics.observe(queue_wait_us, wait.as_micros() as u64);
         }
-        self.metrics
-            .observe(service_histogram(op_name), service.as_micros() as u64);
-        let up = self.uptime_ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.set_gauge(Gauge::UptimeTicks, up);
+        self.metrics.observe(service_us, service.as_micros() as u64);
         if self.trace_out.is_some() {
             // Claim a contiguous tick range on the server-wide clock,
             // then splice the request-local spans into it.
@@ -395,31 +346,28 @@ impl ServerCore {
                 self.metrics.emit(event);
             }
         }
-        let outcome = outcome_of(op_name, &response);
-        let panicked = outcome == "panic";
-        let recovered_open = op_name == "open" && response.contains("\"recovered\":true");
         self.flight.push(FlightRecord {
             ordinal: 0, // assigned by the ring
             trace_id: id,
-            op: op_name.to_string(),
+            op,
             session,
-            outcome,
-            seq: response_seq(&response),
+            outcome: reply.outcome,
+            seq: reply.seq,
             ticks: collected.ticks,
             wal_bytes: collected.wal_bytes,
             ckpt_gen: collected.ckpt_gen,
         });
-        if panicked {
-            self.write_flight_dump("panic");
-        } else if recovered_open {
-            self.write_flight_dump("wal_recovery");
+        match reply.outcome {
+            Outcome::Panic => self.write_flight_dump("panic"),
+            Outcome::OkRecovered => self.write_flight_dump("wal_recovery"),
+            _ => {}
         }
-        response
+        reply.line
     }
 
-    /// Splits a request line into its addressing fields, or the error
-    /// response to send back.
-    fn parse_request(line: &str) -> Result<Request, String> {
+    /// Splits a request line into its route and addressing fields, or
+    /// the error reply to send back.
+    fn parse_request(line: &str) -> Result<Request, Reply> {
         let parsed = json::parse(line)
             .map_err(|e| error_response("bad_request", &format!("request JSON: {e}")))?;
         let Some(op) = parsed.get("op").and_then(JsonValue::as_str) else {
@@ -428,38 +376,66 @@ impl ServerCore {
                 "request needs a string \"op\"",
             ));
         };
-        let op = op.to_string();
+        let route = Self::route(op);
         let session = parsed
             .get("session")
             .and_then(JsonValue::as_str)
             .map(String::from);
         Ok(Request {
-            op,
+            route,
             session,
             parsed,
         })
     }
 
-    fn dispatch_guarded(&self, request: &Request) -> String {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.dispatch(&request.op, request.session.as_deref(), &request.parsed)
-        }));
-        match outcome {
-            Ok(response) => response,
-            Err(_) => {
-                self.panics_isolated.fetch_add(1, Ordering::Relaxed);
-                let recovered = request
-                    .session
-                    .as_deref()
-                    .is_some_and(|name| self.quarantine_and_rebuild(name));
-                let mut out = String::from(
-                    "{\"ok\":false,\"error\":\"panic\",\"message\":\"request panicked; session quarantined\",\"recovered\":",
-                );
-                out.push_str(if recovered { "true" } else { "false" });
-                out.push('}');
-                out
-            }
+    /// The op table. Only the serving-relevant ops get their own
+    /// histogram series; the rest pool under `other`.
+    fn route(op: &str) -> Route {
+        use Handler::{Server, Session};
+        match op {
+            "ping" => ("ping", OTHER, Some(Server(Self::op_ping))),
+            "stats" => ("stats", OTHER, Some(Server(Self::op_stats))),
+            "metrics" => ("metrics", OTHER, Some(Server(Self::op_metrics))),
+            "debug_dump" => ("debug_dump", OTHER, Some(Server(Self::op_debug_dump))),
+            "open" => (
+                "open",
+                ["queue_wait_us/open", "service_us/open"],
+                Some(Session(Self::op_open)),
+            ),
+            "mutate" => (
+                "mutate",
+                ["queue_wait_us/mutate", "service_us/mutate"],
+                Some(Session(Self::op_mutate)),
+            ),
+            "analyze" => (
+                "analyze",
+                ["queue_wait_us/analyze", "service_us/analyze"],
+                Some(Session(Self::op_analyze)),
+            ),
+            "result" => (
+                "result",
+                ["queue_wait_us/result", "service_us/result"],
+                Some(Session(Self::op_result)),
+            ),
+            "close" => ("close", OTHER, Some(Session(Self::op_close))),
+            "debug_panic" => ("debug_panic", OTHER, Some(Session(Self::op_debug_panic))),
+            _ => UNROUTED,
         }
+    }
+
+    fn dispatch_guarded(&self, request: &Request) -> Reply {
+        panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(request))).unwrap_or_else(|_| {
+            self.panics_isolated.fetch_add(1, Ordering::Relaxed);
+            let recovered = request
+                .session
+                .as_deref()
+                .is_some_and(|name| self.quarantine_and_rebuild(name));
+            Reply::new(
+                Outcome::Panic,
+                None,
+                format!("{{\"ok\":false,\"error\":\"panic\",\"message\":\"request panicked; session quarantined\",\"recovered\":{recovered}}}"),
+            )
+        })
     }
 
     /// Discards the in-memory session (whatever state the panic left it
@@ -478,7 +454,7 @@ impl ServerCore {
         }
     }
 
-    fn session(&self, name: &str) -> Result<Arc<Mutex<Session>>, String> {
+    fn session(&self, name: &str) -> Result<Arc<Mutex<Session>>, Reply> {
         let sessions = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
         sessions
             .get(name)
@@ -486,37 +462,29 @@ impl ServerCore {
             .ok_or_else(|| error_response("unknown_session", &format!("no open session {name:?}")))
     }
 
-    fn dispatch(&self, op: &str, session_name: Option<&str>, request: &JsonValue) -> String {
-        match op {
-            "ping" => format!("{}}}", ok_prefix("ping")),
-            "stats" => self.op_stats(),
-            "metrics" => self.op_metrics(),
-            "debug_dump" => self.op_debug_dump(),
-            "open" | "mutate" | "analyze" | "result" | "close" | "debug_panic" => {
-                let Some(name) = session_name else {
-                    return error_response("bad_request", "request needs a string \"session\"");
-                };
-                if !valid_name(name) {
-                    return error_response(
-                        "bad_request",
-                        "session names are 1-64 chars of [A-Za-z0-9_-]",
-                    );
-                }
-                match op {
-                    "open" => self.op_open(name, request),
-                    "mutate" => self.op_mutate(name, request),
-                    "analyze" => self.op_analyze(name, request),
-                    "result" => self.op_result(name),
-                    "close" => self.op_close(name),
-                    "debug_panic" => self.op_debug_panic(name),
-                    _ => unreachable!("guarded above"),
-                }
+    fn dispatch(&self, request: &Request) -> Reply {
+        match request.route.2 {
+            Some(Handler::Server(op)) => op(self),
+            Some(Handler::Session(op)) => match request.session.as_deref() {
+                None => error_response("bad_request", "request needs a string \"session\""),
+                Some(name) if !valid_name(name) => error_response(
+                    "bad_request",
+                    "session names are 1-64 chars of [A-Za-z0-9_-]",
+                ),
+                Some(name) => op(self, name, &request.parsed),
+            },
+            None => {
+                let op = request.parsed.get("op").and_then(JsonValue::as_str);
+                error_response("bad_request", &format!("unknown op {:?}", op.unwrap_or("")))
             }
-            other => error_response("bad_request", &format!("unknown op {other:?}")),
         }
     }
 
-    fn op_open(&self, name: &str, request: &JsonValue) -> String {
+    fn op_ping(&self) -> Reply {
+        Reply::new(Outcome::Ok, None, format!("{}}}", ok_prefix("ping")))
+    }
+
+    fn op_open(&self, name: &str, request: &JsonValue) -> Reply {
         let Some(scenario) = request.get("scenario").and_then(JsonValue::as_str) else {
             return error_response("bad_request", "open needs a string \"scenario\"");
         };
@@ -524,7 +492,7 @@ impl ServerCore {
         // same name cannot both create WALs; opens are rare and cheap
         // (no analysis happens here).
         let mut sessions = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(existing) = sessions.get(name).cloned() {
+        let (seq, replayed, torn) = if let Some(existing) = sessions.get(name).cloned() {
             // Already live: idempotent iff the scenario matches the
             // log's opening entry.
             let Ok(session) = existing.lock() else {
@@ -536,42 +504,44 @@ impl ServerCore {
                     scenario: scenario.to_string(),
                 },
             );
-            return if requested == session.open_id() {
-                format!(
-                    "{},\"session\":{},\"seq\":{},\"recovered\":false,\"torn\":false}}",
-                    ok_prefix("open"),
-                    json::escaped(name),
-                    session.current_seq()
-                )
-            } else {
-                error_response(
+            if requested != session.open_id() {
+                return error_response(
                     "conflict",
                     "session is already open with a different scenario",
-                )
-            };
-        }
-        match Session::open(&self.env, name, scenario) {
-            Ok((session, report)) => {
-                if report.torn {
-                    self.metrics.add(Counter::WalRecoveries, 1);
-                }
-                self.metrics.add(Counter::SessionsOpen, 1);
-                let seq = session.current_seq();
-                sessions.insert(name.to_string(), Arc::new(Mutex::new(session)));
-                format!(
-                    "{},\"session\":{},\"seq\":{},\"recovered\":{},\"torn\":{}}}",
-                    ok_prefix("open"),
-                    json::escaped(name),
-                    seq,
-                    report.replayed > 0,
-                    report.torn
-                )
+                );
             }
-            Err(e) => error_response(e.kind(), &e.to_string()),
-        }
+            (session.current_seq(), 0, false)
+        } else {
+            match Session::open(&self.env, name, scenario) {
+                Ok((session, report)) => {
+                    if report.torn {
+                        self.metrics.add(Counter::WalRecoveries, 1);
+                    }
+                    self.metrics.add(Counter::SessionsOpen, 1);
+                    let seq = session.current_seq();
+                    sessions.insert(name.to_string(), Arc::new(Mutex::new(session)));
+                    (seq, report.replayed, report.torn)
+                }
+                Err(e) => return error_response(e.kind(), &e.to_string()),
+            }
+        };
+        let recovered = replayed > 0;
+        Reply::new(
+            if recovered {
+                Outcome::OkRecovered
+            } else {
+                Outcome::Ok
+            },
+            Some(seq),
+            format!(
+                "{},\"session\":{},\"seq\":{seq},\"recovered\":{recovered},\"torn\":{torn}}}",
+                ok_prefix("open"),
+                json::escaped(name),
+            ),
+        )
     }
 
-    fn op_mutate(&self, name: &str, request: &JsonValue) -> String {
+    fn op_mutate(&self, name: &str, request: &JsonValue) -> Reply {
         let slot = match self.session(name) {
             Ok(s) => s,
             Err(resp) => return resp,
@@ -598,22 +568,24 @@ impl ServerCore {
         let Ok(mut session) = slot.lock() else {
             return error_response("recovering", "session is being rebuilt; retry");
         };
-        match session.append(seq, event) {
-            Ok(AppendOutcome::Applied { seq, id }) => format!(
-                "{},\"seq\":{seq},\"id\":\"{}\",\"duplicate\":false}}",
+        let (seq, id, outcome) = match session.append(seq, event) {
+            Ok(AppendOutcome::Applied { seq, id }) => (seq, id, Outcome::Ok),
+            Ok(AppendOutcome::Duplicate { seq, id }) => (seq, id, Outcome::OkDuplicate),
+            Err(e) => return error_response(e.kind(), &e.to_string()),
+        };
+        let duplicate = outcome == Outcome::OkDuplicate;
+        Reply::new(
+            outcome,
+            Some(seq),
+            format!(
+                "{},\"seq\":{seq},\"id\":\"{}\",\"duplicate\":{duplicate}}}",
                 ok_prefix("mutate"),
                 id_hex(id)
             ),
-            Ok(AppendOutcome::Duplicate { seq, id }) => format!(
-                "{},\"seq\":{seq},\"id\":\"{}\",\"duplicate\":true}}",
-                ok_prefix("mutate"),
-                id_hex(id)
-            ),
-            Err(e) => error_response(e.kind(), &e.to_string()),
-        }
+        )
     }
 
-    fn op_analyze(&self, name: &str, request: &JsonValue) -> String {
+    fn op_analyze(&self, name: &str, request: &JsonValue) -> Reply {
         let slot = match self.session(name) {
             Ok(s) => s,
             Err(resp) => return resp,
@@ -634,27 +606,29 @@ impl ServerCore {
             return error_response("recovering", "session is being rebuilt; retry");
         };
         let current = session.current_seq();
-        match session.analyze(budget) {
-            Ok(Analyzed::Fresh { body, replayed }) => format!(
-                "{},\"seq\":{current},\"stale\":false,\"replayed\":{replayed},\"result\":{body}}}",
-                ok_prefix("analyze")
+        let prefix = ok_prefix("analyze");
+        let (outcome, line) = match session.analyze(budget) {
+            Ok(Analyzed::Fresh { body, replayed }) => (
+                Outcome::Ok,
+                format!("{prefix},\"seq\":{current},\"stale\":false,\"replayed\":{replayed},\"result\":{body}}}"),
             ),
             Ok(Analyzed::Stale { body, seq }) => {
                 self.metrics.add(Counter::StaleServed, 1);
-                format!(
-                    "{},\"seq\":{current},\"stale\":true,\"result_seq\":{seq},\"result\":{body}}}",
-                    ok_prefix("analyze")
+                (
+                    Outcome::OkStale,
+                    format!("{prefix},\"seq\":{current},\"stale\":true,\"result_seq\":{seq},\"result\":{body}}}"),
                 )
             }
-            Ok(Analyzed::Partial { body }) => format!(
-                "{},\"seq\":{current},\"stale\":false,\"result\":{body}}}",
-                ok_prefix("analyze")
+            Ok(Analyzed::Partial { body }) => (
+                Outcome::Ok,
+                format!("{prefix},\"seq\":{current},\"stale\":false,\"result\":{body}}}"),
             ),
-            Err(e) => error_response(e.kind(), &e.to_string()),
-        }
+            Err(e) => return error_response(e.kind(), &e.to_string()),
+        };
+        Reply::new(outcome, Some(current), line)
     }
 
-    fn op_result(&self, name: &str) -> String {
+    fn op_result(&self, name: &str, _: &JsonValue) -> Reply {
         let slot = match self.session(name) {
             Ok(s) => s,
             Err(resp) => return resp,
@@ -662,28 +636,31 @@ impl ServerCore {
         let Ok(session) = slot.lock() else {
             return error_response("recovering", "session is being rebuilt; retry");
         };
-        match session.last_result() {
-            Some((m, stale)) => format!(
-                "{},\"seq\":{},\"stale\":{},\"result_seq\":{},\"result\":{}}}",
+        let Some((m, stale)) = session.last_result() else {
+            return error_response("no_result", "session has no materialized result yet");
+        };
+        let seq = session.current_seq();
+        Reply::new(
+            if stale { Outcome::OkStale } else { Outcome::Ok },
+            Some(seq),
+            format!(
+                "{},\"seq\":{seq},\"stale\":{stale},\"result_seq\":{},\"result\":{}}}",
                 ok_prefix("result"),
-                session.current_seq(),
-                stale,
                 m.seq,
                 m.body
             ),
-            None => error_response("no_result", "session has no materialized result yet"),
-        }
+        )
     }
 
-    fn op_close(&self, name: &str) -> String {
+    fn op_close(&self, name: &str, _: &JsonValue) -> Reply {
         let mut sessions = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
         match sessions.remove(name) {
-            Some(_) => format!("{}}}", ok_prefix("close")),
+            Some(_) => Reply::new(Outcome::Ok, None, format!("{}}}", ok_prefix("close"))),
             None => error_response("unknown_session", &format!("no open session {name:?}")),
         }
     }
 
-    fn op_debug_panic(&self, name: &str) -> String {
+    fn op_debug_panic(&self, name: &str, _: &JsonValue) -> Reply {
         if !self.test_ops {
             return error_response("bad_request", "debug ops are disabled");
         }
@@ -697,7 +674,7 @@ impl ServerCore {
         panic!("injected debug panic in session {name}");
     }
 
-    fn op_stats(&self) -> String {
+    fn op_stats(&self) -> Reply {
         self.refresh_gauges();
         let sessions = {
             let map = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
@@ -708,7 +685,7 @@ impl ServerCore {
             "{},\"sessions\":{sessions},\"panics_isolated\":{},\"uptime_ticks\":{},\"queue_depth\":{},\"checkpoint_generation\":{},\"counters\":{{",
             ok_prefix("stats"),
             self.panics_isolated(),
-            self.uptime_ticks.load(Ordering::Relaxed),
+            self.flight.recorded(),
             snapshot.gauge(Gauge::QueueDepth),
             snapshot.gauge(Gauge::CheckpointGeneration),
         );
@@ -719,10 +696,10 @@ impl ServerCore {
             out.push_str(&format!("\"{name}\":{value}"));
         }
         out.push_str("}}");
-        out
+        Reply::new(Outcome::Ok, None, out)
     }
 
-    fn op_metrics(&self) -> String {
+    fn op_metrics(&self) -> Reply {
         self.refresh_gauges();
         let snapshot = self.recorder.snapshot();
         let mut out = format!(
@@ -732,10 +709,10 @@ impl ServerCore {
         );
         json::write_escaped(&mut out, &snapshot.to_prometheus());
         out.push('}');
-        out
+        Reply::new(Outcome::Ok, None, out)
     }
 
-    fn op_debug_dump(&self) -> String {
+    fn op_debug_dump(&self) -> Reply {
         let records = self.flight.snapshot();
         let mut out = format!(
             "{},\"recorded\":{},\"records\":[",
@@ -749,7 +726,7 @@ impl ServerCore {
             out.push_str(&record.to_json());
         }
         out.push_str("]}");
-        out
+        Reply::new(Outcome::Ok, None, out)
     }
 
     /// Recomputes the session-derived gauges from the live map; the
@@ -774,10 +751,8 @@ impl ServerCore {
         self.metrics.set_gauge(Gauge::WalBytes, wal_bytes);
         self.metrics
             .set_gauge(Gauge::CheckpointGeneration, ckpt_gen);
-        self.metrics.set_gauge(
-            Gauge::UptimeTicks,
-            self.uptime_ticks.load(Ordering::Relaxed),
-        );
+        self.metrics
+            .set_gauge(Gauge::UptimeTicks, self.flight.recorded());
     }
 
     /// Dumps the flight ring (and the trace, when tracing) to durable

@@ -12,6 +12,7 @@
 //! harness can assert on it exactly.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Mutex;
 
 use hem_obs::json::write_escaped;
@@ -24,6 +25,36 @@ pub const FLIGHT_CAPACITY: usize = 256;
 /// file stems, but their artifacts are `<name>.wal` / `<name>.ckpt.*`).
 pub const FLIGHT_FILE: &str = "flight.jsonl";
 
+/// A request's stable outcome tag, as its flight record carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// `ok`: served as asked.
+    Ok,
+    /// `ok_duplicate`: a mutate the log already held.
+    OkDuplicate,
+    /// `ok_stale`: an analyze or `result` that served a stale result.
+    OkStale,
+    /// `ok_recovered`: an open that replayed the WAL.
+    OkRecovered,
+    /// `panic`: the request panicked and its session was quarantined.
+    Panic,
+    /// `error:<kind>`: an error response of that kind.
+    Error(&'static str),
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Outcome::Ok => f.write_str("ok"),
+            Outcome::OkDuplicate => f.write_str("ok_duplicate"),
+            Outcome::OkStale => f.write_str("ok_stale"),
+            Outcome::OkRecovered => f.write_str("ok_recovered"),
+            Outcome::Panic => f.write_str("panic"),
+            Outcome::Error(kind) => write!(f, "error:{kind}"),
+        }
+    }
+}
+
 /// One request, as the flight recorder remembers it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightRecord {
@@ -32,13 +63,12 @@ pub struct FlightRecord {
     /// The deterministic trace id (see [`crate::trace::trace_id`]).
     pub trace_id: u64,
     /// The request op (`"open"`, `"mutate"`, … or `"?"` when the
-    /// request never parsed far enough to have one).
-    pub op: String,
+    /// request named no known op).
+    pub op: &'static str,
     /// The session the request addressed, if any.
     pub session: Option<String>,
-    /// The stable outcome tag: `ok`, `ok_duplicate`, `ok_stale`,
-    /// `ok_recovered`, `shed`, `panic`, or `error:<kind>`.
-    pub outcome: String,
+    /// What the response said.
+    pub outcome: Outcome,
     /// The sequence number the response acknowledged, if any.
     pub seq: Option<u64>,
     /// Logical trace ticks the request consumed.
@@ -57,14 +87,14 @@ impl FlightRecord {
             "{{\"type\":\"request\",\"ordinal\":{},\"trace_id\":\"{:016x}\",\"op\":",
             self.ordinal, self.trace_id
         );
-        write_escaped(&mut out, &self.op);
+        write_escaped(&mut out, self.op);
         out.push_str(",\"session\":");
         match &self.session {
             Some(name) => write_escaped(&mut out, name),
             None => out.push_str("null"),
         }
         out.push_str(",\"outcome\":");
-        write_escaped(&mut out, &self.outcome);
+        write_escaped(&mut out, &self.outcome.to_string());
         out.push_str(",\"seq\":");
         match self.seq {
             Some(seq) => out.push_str(&seq.to_string()),
@@ -173,13 +203,13 @@ mod tests {
     use super::*;
     use hem_obs::json;
 
-    fn record(op: &str, outcome: &str) -> FlightRecord {
+    fn record(op: &'static str, outcome: Outcome) -> FlightRecord {
         FlightRecord {
             ordinal: 0,
             trace_id: 0xABCD,
-            op: op.to_string(),
+            op,
             session: Some("s1".to_string()),
-            outcome: outcome.to_string(),
+            outcome,
             seq: Some(4),
             ticks: 6,
             wal_bytes: 120,
@@ -190,9 +220,9 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_keeps_ordinals() {
         let ring = FlightRecorder::with_capacity(2);
-        ring.push(record("open", "ok"));
-        ring.push(record("mutate", "ok"));
-        ring.push(record("analyze", "ok"));
+        ring.push(record("open", Outcome::Ok));
+        ring.push(record("mutate", Outcome::Ok));
+        ring.push(record("analyze", Outcome::Ok));
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].ordinal, 1);
@@ -204,14 +234,15 @@ mod tests {
     #[test]
     fn dump_is_valid_jsonl_with_header_first() {
         let ring = FlightRecorder::with_capacity(4);
-        ring.push(record("open", "ok_recovered"));
-        ring.push(record("mutate", "error:gap"));
+        ring.push(record("open", Outcome::OkRecovered));
+        ring.push(record("mutate", Outcome::Error("gap")));
         let dump = ring.render_dump("shutdown");
         json::validate_jsonl(&dump).expect("valid JSONL");
         let mut lines = dump.lines();
         let header = lines.next().expect("header line");
         assert!(header.starts_with("{\"type\":\"flight_header\",\"reason\":\"shutdown\""));
         assert!(header.contains("\"recorded\":2,\"retained\":2,\"capacity\":4"));
+        assert!(dump.contains("\"outcome\":\"error:gap\""));
         assert_eq!(lines.count(), 2);
         // Dumps are deterministic for a given history.
         assert_eq!(dump, ring.render_dump("shutdown"));
@@ -219,7 +250,7 @@ mod tests {
 
     #[test]
     fn record_json_encodes_optionals_and_hex_trace_id() {
-        let mut r = record("mutate", "ok");
+        let mut r = record("mutate", Outcome::Ok);
         r.session = None;
         r.seq = None;
         r.ckpt_gen = Some(2);

@@ -52,7 +52,7 @@ pub mod wal;
 
 pub use crate::core::{CoreOptions, ServerCore};
 pub use event::{EventError, LogEntry, SessionEvent};
-pub use flight::{FlightRecord, FlightRecorder, FLIGHT_FILE};
+pub use flight::{FlightRecord, FlightRecorder, Outcome, FLIGHT_FILE};
 pub use queue::{Shed, WorkQueue};
 pub use session::{Analyzed, AppendOutcome, Session, SessionError};
 pub use storage::{ChaosOptions, ChaosStorage, RealStorage, Storage};

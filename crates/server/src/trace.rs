@@ -36,7 +36,6 @@ struct Frame {
 /// The per-request trace scope.
 struct Scope {
     trace_id: u64,
-    op: &'static str,
     clock: u64,
     stack: Vec<Frame>,
     /// Whether closed spans are materialized into [`TraceEvent`]s.
@@ -58,10 +57,6 @@ thread_local! {
 /// Everything a finished request's scope collected.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
-    /// The deterministic trace id (see [`trace_id`]).
-    pub trace_id: u64,
-    /// The request's root span name (its op).
-    pub op: &'static str,
     /// Closed spans with request-local tick timestamps; the caller
     /// offsets them onto the server-wide tick clock before emission.
     /// Empty when the scope was begun with `collect` false.
@@ -95,7 +90,6 @@ pub fn begin_request(id: u64, op: &'static str, collect: bool) {
         let mut scope = scope.borrow_mut();
         let mut fresh = Scope {
             trace_id: id,
-            op,
             clock: 0,
             stack: Vec::with_capacity(8),
             collect,
@@ -136,8 +130,6 @@ pub fn finish_request() -> Option<RequestTrace> {
             }
         }
         Some(RequestTrace {
-            trace_id: s.trace_id,
-            op: s.op,
             events: s.events,
             ticks: s.clock,
             wal_bytes: s.wal_bytes,

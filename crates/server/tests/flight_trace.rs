@@ -278,3 +278,90 @@ fn metrics_op_exposes_snapshot_and_prometheus_text() {
     assert!(exposition.contains("# TYPE sessions_live gauge"));
     assert!(exposition.contains("service_us"));
 }
+
+/// `(op, outcome, seq)` of every record a `debug_dump` returns.
+fn dumped_records(core: &ServerCore) -> Vec<(String, String, JsonValue)> {
+    let response = core.handle_line("{\"op\":\"debug_dump\"}");
+    let parsed = json::parse(&response).expect("debug_dump response parses");
+    let Some(JsonValue::Array(records)) = parsed.get("records") else {
+        panic!("debug_dump lacks records: {response}");
+    };
+    records
+        .iter()
+        .map(|record| {
+            let text = |key: &str| {
+                record
+                    .get(key)
+                    .and_then(JsonValue::as_str)
+                    .expect("record field is a string")
+                    .to_string()
+            };
+            let seq = record.get("seq").cloned().expect("record has a seq");
+            (text("op"), text("outcome"), seq)
+        })
+        .collect()
+}
+
+#[test]
+fn debug_dump_tags_every_outcome() {
+    let disk = ChaosStorage::new(ChaosOptions::quiet(SEED));
+    let first = core_on(&disk);
+    let on_session = |op: &str| format!("{{\"op\":\"{op}\",\"session\":\"{SESSION}\"}}");
+    let requests = [
+        open_line(),
+        mutate_line(1),
+        mutate_line(1), // a resend: duplicate
+        on_session("analyze"),
+        mutate_line(2),
+        on_session("result"), // materialized at seq 1, log at seq 2: stale
+        on_session("debug_panic"),
+        "{\"op\":\"result\",\"session\":\"nobody\"}".to_string(),
+        "{\"op\":\"nope\"}".to_string(),
+    ];
+    for line in &requests {
+        let _ = first.handle_line(line);
+    }
+    let tags: Vec<(String, String)> = dumped_records(&first)
+        .into_iter()
+        .map(|(op, outcome, _)| (op, outcome))
+        .collect();
+    let expected = [
+        ("open", "ok"),
+        ("mutate", "ok"),
+        ("mutate", "ok_duplicate"),
+        ("analyze", "ok"),
+        ("mutate", "ok"),
+        ("result", "ok_stale"),
+        ("debug_panic", "panic"),
+        ("result", "error:unknown_session"),
+        ("?", "error:bad_request"),
+    ];
+    assert_eq!(
+        tags,
+        expected.map(|(op, outcome)| (op.to_string(), outcome.to_string()))
+    );
+    drop(first);
+
+    // A restart on the same disk: the open replays the WAL.
+    let second = core_on(&disk);
+    let _ = second.handle_line(&open_line());
+    let records = dumped_records(&second);
+    assert_eq!(records.len(), 1);
+    assert_eq!(
+        (records[0].0.as_str(), records[0].1.as_str()),
+        ("open", "ok_recovered")
+    );
+}
+
+#[test]
+fn debug_dump_record_acknowledges_no_seq() {
+    let disk = ChaosStorage::new(ChaosOptions::quiet(SEED));
+    let core = core_on(&disk);
+    assert!(core.handle_line(&open_line()).starts_with("{\"ok\":true"));
+    let _ = dumped_records(&core);
+    let records = dumped_records(&core);
+    assert_eq!(records.len(), 2);
+    assert_eq!(records[0].2, JsonValue::Number(0.0), "the open acked seq 0");
+    assert_eq!(records[1].0, "debug_dump");
+    assert_eq!(records[1].2, JsonValue::Null, "a dump acknowledges no seq");
+}
