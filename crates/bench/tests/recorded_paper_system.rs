@@ -91,3 +91,71 @@ fn busy_window_iterations_break_down_per_task() {
         "per-entity breakdown present"
     );
 }
+
+/// The hierarchical convergence trace of Fig. 2: the first iteration
+/// reaches Table 3's HEM bounds, and the second confirms them.
+const FIG2_HIERARCHICAL_TRACE: &str = concat!(
+    r#"{"iteration":1,"response_times":{"frame:F1":{"lower":79,"upper":265},"frame:F2":{"lower":63,"upper":265},"task:T1":{"lower":240,"upper":240},"task:T2":{"lower":320,"upper":560},"task:T3":{"lower":400,"upper":960}}}"#,
+    "\n",
+    r#"{"iteration":2,"response_times":{"frame:F1":{"lower":79,"upper":265},"frame:F2":{"lower":63,"upper":265},"task:T1":{"lower":240,"upper":240},"task:T2":{"lower":320,"upper":560},"task:T3":{"lower":400,"upper":960}}}"#,
+    "\n",
+);
+
+/// Fig. 2 is feed-forward: no source reads a task's output, so the
+/// second iteration reads nothing the first changed and replays it. A
+/// cold run does exactly the work of a run stopped after one iteration,
+/// yet still reports two iterations, four packings and the same trace.
+#[test]
+fn feed_forward_fixed_point_does_one_iteration_of_work() {
+    let run = |mode, analytic, cap| {
+        let (recorder, handle) = MemoryRecorder::handle();
+        let mut config = SystemConfig::new(mode)
+            .with_recorder(handle)
+            .with_analytic(Some(analytic));
+        if let Some(cap) = cap {
+            config.max_global_iterations = cap;
+        }
+        let robust = analyze_robust(&spec(&PaperParams::default()), &config).expect("well-formed");
+        (robust, recorder.snapshot())
+    };
+    let busy_windows = |snap: &MetricsSnapshot| -> Vec<(String, u64)> {
+        snap.labeled
+            .iter()
+            .filter(|((name, _), _)| *name == Counter::BusyWindowIterations.name())
+            .map(|((_, entity), &n)| (entity.clone(), n))
+            .collect()
+    };
+    for mode in [AnalysisMode::Flat, AnalysisMode::Hierarchical] {
+        for analytic in [false, true] {
+            let (full, full_snap) = run(mode, analytic, None);
+            let (one, one_snap) = run(mode, analytic, Some(1));
+            let leg = format!("{mode:?}, analytic {analytic}");
+            assert!(full.diagnostics.converged(), "{leg}");
+            assert_eq!(full.diagnostics.iterations, 2, "{leg}");
+            assert_eq!(full_snap.counter(Counter::GlobalIterations), 2, "{leg}");
+            assert_eq!(full_snap.counter(Counter::PackingOps), 4, "{leg}");
+            assert_eq!(one.diagnostics.iterations, 1, "{leg}");
+            for counter in [Counter::BusyWindowIterations, Counter::AnalyticLifts] {
+                assert_eq!(
+                    full_snap.counter(counter),
+                    one_snap.counter(counter),
+                    "{leg}: {}",
+                    counter.name()
+                );
+            }
+            assert_eq!(busy_windows(&full_snap), busy_windows(&one_snap), "{leg}");
+            assert_eq!(busy_windows(&full_snap).len(), 5, "{leg}");
+            let (trace, first) = (full.diagnostics.trace(), one.diagnostics.trace());
+            assert_eq!(trace.len(), 2, "{leg}");
+            assert_eq!(trace.iterations()[0], first.iterations()[0], "{leg}");
+            assert_eq!(
+                trace.iterations()[0].response_times,
+                trace.iterations()[1].response_times,
+                "{leg}"
+            );
+            if mode == AnalysisMode::Hierarchical {
+                assert_eq!(trace.to_jsonl(), FIG2_HIERARCHICAL_TRACE, "{leg}");
+            }
+        }
+    }
+}

@@ -15,8 +15,19 @@
 //! buses its packings read; it then analyses every CPU in spec order.
 //! The resolver's visiting flags report an activation cycle as
 //! [`SystemError::DependencyCycle`] naming the first entity met twice.
-//! A warm start replays a clean resource's recorded models and results
-//! at the point where this order reaches it.
+//!
+//! A clean resource replays its recorded models and results at the
+//! point where this order reaches it, instead of resolving and
+//! analysing. A warm start's damage cone leaves a resource clean for
+//! the whole run: it replays the snapshot's record of the same
+//! iteration. Within a run, the only thing an iteration reads from the
+//! previous one is the response times behind task outputs, so after
+//! each iteration an *in-run* cone — the readers of every task output
+//! that moved, closed over their dependents — bounds what the next
+//! iteration can change. Every other resource replays the previous
+//! iteration. In a feed-forward system, where no source reads a task
+//! output, the iteration that confirms the fixed point replays
+//! everything.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -205,13 +216,11 @@ impl IterationResults {
 }
 
 /// The warm-start plan handed to the engine: which resources are
-/// outside the damage cone, by spec position, and the snapshot they
+/// outside the damage cone, by resource number, and the snapshot they
 /// replay.
 pub(crate) struct EngineWarm<'w> {
-    /// Whether `spec.buses[b]` is outside the damage cone.
-    pub(crate) clean_buses: Vec<bool>,
-    /// Whether `spec.cpus[c]` is outside the damage cone.
-    pub(crate) clean_cpus: Vec<bool>,
+    /// Whether resource `r` is outside the damage cone.
+    pub(crate) clean: Vec<bool>,
     /// Whether `spec.frames[j]` is external-fed and its packing inputs
     /// (source models, transfers, type, payload, format) equal the
     /// snapshot's: its recorded packing and outer stream carry over
@@ -225,6 +234,46 @@ pub(crate) struct EngineWarm<'w> {
 struct WarmIteration<'w> {
     plan: &'w EngineWarm<'w>,
     replay: Replay<'w>,
+}
+
+/// The previous iteration of this run as the next one sees it: its
+/// results and resolved models, and the resources it cannot have
+/// changed.
+#[derive(Clone, Copy)]
+struct Previous<'a> {
+    results: &'a IterationResults,
+    resolution: &'a Resolution,
+    /// Whether resource `r` is outside the in-run damage cone: it reads
+    /// no task output that moved in the previous iteration, directly or
+    /// through what it reads, so it repeats that iteration.
+    settled: &'a [bool],
+}
+
+/// The response time of `spec.tasks[i]` that an iteration after
+/// `previous` reads: its record there, or zero in the first iteration.
+fn read_response(previous: Option<&IterationResults>, i: usize) -> ResponseTime {
+    previous.map_or(ResponseTime::new(Time::ZERO, Time::ZERO), |p| {
+        p.tasks[i].response
+    })
+}
+
+/// The resources the iteration after `results` cannot change, given
+/// what `results`' own iteration read (`read`, `None` for the first).
+///
+/// An iteration reads only one thing from its predecessor: the response
+/// times behind task outputs. So only the readers of a task whose
+/// response moved, and what depends on them, can differ from `results`;
+/// the rest is settled.
+fn settled_after(
+    topology: &Topology,
+    read: Option<&IterationResults>,
+    results: &IterationResults,
+) -> Vec<bool> {
+    let moved = (0..results.tasks.len())
+        .filter(|&i| results.tasks[i].response != read_response(read, i))
+        .flat_map(|i| topology.task_readers(i).iter().copied());
+    let cone = topology.dependents_closure(moved);
+    cone.into_iter().map(|dirty| !dirty).collect()
 }
 
 /// Per-entity growth tracking across global iterations, feeding the
@@ -286,7 +335,8 @@ impl Track {
 /// frame's bus result in spec order, then every CPU in spec order (see
 /// the module docs).
 ///
-/// With a warm plan, a resource outside the damage cone replays its
+/// A clean resource — outside a warm plan's damage cone, or outside the
+/// in-run cone of what the previous iteration moved — replays its
 /// recorded results at the point where a cold run analyses it. The
 /// resolver was seeded with its recorded models, so it resolves, lifts
 /// and packs nothing for it. An iteration costs O(damage cone).
@@ -479,11 +529,11 @@ pub(crate) fn run_with(
     let mut trajectory: Vec<IterationResults> = Vec::new();
     let mut tracks: Vec<Track> = Vec::new();
     let mut resolutions: Vec<Resolution> = Vec::new();
+    // The resources the next iteration replays from the last one.
+    let mut settled: Vec<bool> = Vec::new();
     let mut curves = HashSet::new();
     let mut replayed_total = 0u64;
-    let external_fed: Vec<bool> = (0..spec.frames.len())
-        .map(|j| topology.external_fed(j))
-        .collect();
+    let analytic = config.analytic_enabled();
 
     macro_rules! stop {
         ($reason:expr, $culprit:expr) => {
@@ -515,22 +565,23 @@ pub(crate) fn run_with(
             plan,
             replay: plan.snapshot.replay(iteration),
         });
-        let prev_tasks = trajectory.last().map_or(&[][..], |l| &l.tasks);
+        let previous = trajectory
+            .last()
+            .zip(resolutions.last())
+            .map(|(results, resolution)| Previous {
+                results,
+                resolution,
+                settled: &settled,
+            });
         let mut resolver = Resolver::new(
             spec,
             config,
             topology,
-            prev_tasks,
+            analytic,
+            previous,
             warm_iter.as_ref(),
             &mut curves,
         );
-        // An external-fed frame's packing holds for the whole run, and
-        // across warm runs while its packing inputs hold.
-        match (resolutions.last(), &warm_iter) {
-            (Some(previous), _) => resolver.carry(previous, &external_fed),
-            (None, Some(w)) => resolver.carry(w.replay.resolution, &w.plan.kept_packings),
-            (None, None) => {}
-        }
         let iteration_outcome = run_iteration(&mut resolver);
         drop(iter_span);
         let results = match iteration_outcome {
@@ -570,8 +621,9 @@ pub(crate) fn run_with(
                     unpacked.extend(f.signals.iter().map(|s| processed.unpack_by_name(&s.name)));
                 }
             }
+            let tables = resolver.tables;
             let captured = capture.then(|| {
-                push_resolution(&mut resolutions, resolver.tables, true);
+                push_resolution(&mut resolutions, tables, true);
                 resolutions
             });
             let task_results = results.task_results(topology);
@@ -611,7 +663,9 @@ pub(crate) fn run_with(
                 replayed_total,
             ));
         }
-        push_resolution(&mut resolutions, resolver.tables, capture);
+        let tables = resolver.tables;
+        push_resolution(&mut resolutions, tables, capture);
+        settled = settled_after(topology, trajectory.last(), &results);
 
         // Track growth and detect sustained divergence early.
         if tracks.is_empty() {
@@ -657,13 +711,17 @@ fn push_resolution(resolutions: &mut Vec<Resolution>, resolution: Resolution, ca
 }
 
 /// Per-iteration lazy evaluator with memoization and cycle detection.
+///
+/// A clean resource replays instead of resolving and analysing: from the
+/// snapshot's record of this iteration when the warm plan leaves it
+/// outside the damage cone, else from the previous iteration when
+/// nothing it reads moved since (see [`Previous::settled`]).
 struct Resolver<'a> {
     spec: &'a SystemSpec,
     config: &'a SystemConfig,
     topology: &'a Topology,
-    /// The previous iteration's task results, by spec position (empty
-    /// in the first iteration).
-    prev_tasks: &'a [Record],
+    /// The previous iteration of this run (`None` in the first).
+    previous: Option<Previous<'a>>,
     /// The warm-start plan, if any: which resources replay, and what.
     warm: Option<&'a WarmIteration<'a>>,
     /// Per-entity analyses replayed from the snapshot this iteration.
@@ -680,7 +738,7 @@ struct Resolver<'a> {
     visiting_tasks: Vec<bool>,
     visiting_frames: Vec<bool>,
     /// Whether resolved models are swapped for closed-form analytic
-    /// curves (resolved once per iteration from the config).
+    /// curves (resolved once per run from the config).
     analytic: bool,
     /// Every distinct curve the run has lifted. An equal lift (another
     /// receiver of the same stream, or a later iteration repeating an
@@ -690,11 +748,17 @@ struct Resolver<'a> {
 }
 
 impl<'a> Resolver<'a> {
+    /// A resolver for one iteration, its tables seeded with the models
+    /// of every clean resource: first the snapshot's, then, for what
+    /// they leave unresolved, the previous iteration's. Then it carries
+    /// packings: an external-fed frame's packing holds for the whole
+    /// run, and across warm runs while its packing inputs hold.
     fn new(
         spec: &'a SystemSpec,
         config: &'a SystemConfig,
         topology: &'a Topology,
-        prev_tasks: &'a [Record],
+        analytic: bool,
+        previous: Option<Previous<'a>>,
         warm: Option<&'a WarmIteration<'a>>,
         curves: &'a mut HashSet<Arc<AnalyticCurve>>,
     ) -> Self {
@@ -702,7 +766,7 @@ impl<'a> Resolver<'a> {
             spec,
             config,
             topology,
-            prev_tasks,
+            previous,
             warm,
             replayed: 0,
             tables: Resolution::empty(spec),
@@ -710,45 +774,60 @@ impl<'a> Resolver<'a> {
             carried: vec![None; spec.frames.len()],
             visiting_tasks: vec![false; spec.tasks.len()],
             visiting_frames: vec![false; spec.frames.len()],
-            analytic: config.analytic_enabled(),
+            analytic,
             curves,
         };
-        if let Some(warm) = warm {
-            resolver.seed(warm);
+        if let Some(w) = warm {
+            resolver.seed(w.replay.resolution, &w.plan.clean);
+        }
+        if let Some(p) = previous {
+            resolver.seed(p.resolution, p.settled);
+        }
+        match (previous, warm) {
+            (Some(p), _) => resolver.carry(p.resolution, |j| topology.external_fed(j)),
+            (None, Some(w)) => resolver.carry(w.replay.resolution, |j| w.plan.kept_packings[j]),
+            (None, None) => {}
         }
         resolver
     }
 
-    /// Seeds every entity on a clean resource with the snapshot's
-    /// resolved models for this iteration. Outside the damage cone the
-    /// models are bit-identical to what resolution would rebuild, so
-    /// the iteration never resolves, lifts, or packs them; dirty
-    /// resources read them from the tables like any resolved model.
-    fn seed(&mut self, warm: &WarmIteration<'_>) {
-        let record = warm.replay.resolution;
-        let topology = self.topology;
-        let clean_cpus = topology.cpu_tasks.iter().zip(&warm.plan.clean_cpus);
-        for (tasks, _) in clean_cpus.filter(|(_, &clean)| clean) {
-            for &i in tasks {
-                self.tables.tasks[i] = record.tasks[i].clone();
+    /// Fills every unresolved slot of an entity on a `clean` resource
+    /// (by resource number) with its model in `record`. A clean
+    /// resource's models are bit-identical to what resolution would
+    /// rebuild, so the iteration never resolves, lifts, or packs them;
+    /// dirty resources read them from the tables like any resolved
+    /// model.
+    fn seed(&mut self, record: &Resolution, clean: &[bool]) {
+        fn fill<T: Clone>(slot: &mut Option<T>, from: &Option<T>) {
+            if slot.is_none() {
+                slot.clone_from(from);
             }
         }
-        let clean_buses = topology.bus_frames.iter().zip(&warm.plan.clean_buses);
-        for (frames, _) in clean_buses.filter(|(_, &clean)| clean) {
-            for &j in frames {
-                self.tables.packed[j] = record.packed[j].clone();
-                self.tables.outer[j] = record.outer[j].clone();
-                self.tables.processed[j] = record.processed[j].clone();
+        let topology = self.topology;
+        for (c, tasks) in topology.cpu_tasks.iter().enumerate() {
+            if clean[topology.cpu_resource(c)] {
+                for &i in tasks {
+                    fill(&mut self.tables.tasks[i], &record.tasks[i]);
+                }
+            }
+        }
+        for (b, frames) in topology.bus_frames.iter().enumerate() {
+            if clean[b] {
+                for &j in frames {
+                    fill(&mut self.tables.packed[j], &record.packed[j]);
+                    fill(&mut self.tables.outer[j], &record.outer[j]);
+                    fill(&mut self.tables.processed[j], &record.processed[j]);
+                }
             }
         }
     }
 
-    /// Carries the packing and outer stream of every flagged frame that
+    /// Carries the packing and outer stream of every `keep` frame that
     /// seeding left unresolved from `from`, a resolution with the same
     /// packing inputs.
-    fn carry(&mut self, from: &Resolution, frames: &[bool]) {
-        for (j, _) in frames.iter().enumerate().filter(|(_, &keep)| keep) {
-            if self.tables.packed[j].is_none() {
+    fn carry(&mut self, from: &Resolution, keep: impl Fn(usize) -> bool) {
+        for j in 0..self.spec.frames.len() {
+            if self.tables.packed[j].is_none() && keep(j) {
                 self.carried[j] = from.packed[j].clone().zip(from.outer[j].clone());
             }
         }
@@ -775,6 +854,17 @@ impl<'a> Resolver<'a> {
         if packed > 0 {
             self.config.local.recorder.add(Counter::PackingOps, packed);
         }
+    }
+
+    /// The recorded results clean resource `r` replays this iteration,
+    /// and whether they come from the snapshot (a warm-start hit), or
+    /// `None` when `r` is analysed.
+    fn replay(&self, r: usize) -> Option<(&'a IterationResults, bool)> {
+        if let Some(w) = self.warm.filter(|w| w.plan.clean[r]) {
+            return Some((w.replay.results, true));
+        }
+        let previous = self.previous.filter(|p| p.settled[r])?;
+        Some((previous.results, false))
     }
 
     /// Counts `entities` results replayed from the snapshot.
@@ -850,9 +940,7 @@ impl<'a> Resolver<'a> {
     /// The previous iteration's response time of `spec.tasks[i]` (zero
     /// in the first iteration).
     fn prev_rt(&self, i: usize) -> ResponseTime {
-        self.prev_tasks
-            .get(i)
-            .map_or(ResponseTime::new(Time::ZERO, Time::ZERO), |r| r.response)
+        read_response(self.previous.map(|p| p.results), i)
     }
 
     /// Resolves an activation source: `wire`, its wiring in the
@@ -1000,8 +1088,7 @@ impl<'a> Resolver<'a> {
     /// The bus-analysis result of `spec.frames[j]`. The first request
     /// for a frame of a bus polls the budget, then analyses the whole
     /// bus — resolving, and so first analysing, the buses its packings
-    /// read — or, outside a warm run's damage cone, replays the bus's
-    /// recorded results.
+    /// read — or, when the bus is clean, replays its recorded results.
     fn frame_result(&mut self, j: usize) -> Result<Record, SystemError> {
         if let Some(record) = self.frame_results[j] {
             return Ok(record);
@@ -1010,12 +1097,14 @@ impl<'a> Resolver<'a> {
         let topology = self.topology;
         let b = topology.frame_bus[j].expect("a validated frame has a bus");
         let frames = &topology.bus_frames[b];
-        if let Some(w) = self.warm.filter(|w| w.plan.clean_buses[b]) {
+        if let Some((recorded, hit)) = self.replay(b) {
             self.count_replayed_packings(b);
             for &k in frames {
-                self.frame_results[k] = Some(w.replay.results.frames[k]);
+                self.frame_results[k] = Some(recorded.frames[k]);
             }
-            self.count_replayed(frames.len());
+            if hit {
+                self.count_replayed(frames.len());
+            }
         } else {
             let bus_frames = self.bus_frames(b)?;
             let bus = &self.spec.buses[b].config;
@@ -1028,16 +1117,18 @@ impl<'a> Resolver<'a> {
     }
 
     /// Analyses every task on `spec.cpus[c]` into `tasks` (by spec
-    /// position) after polling the budget, or, outside a warm run's
-    /// damage cone, replays the CPU's recorded results.
+    /// position) after polling the budget, or, when the CPU is clean,
+    /// replays its recorded results.
     fn cpu_results(&mut self, c: usize, tasks: &mut [Option<Record>]) -> Result<(), SystemError> {
         self.poll_budget()?;
         let on_cpu = &self.topology.cpu_tasks[c];
-        if let Some(w) = self.warm.filter(|w| w.plan.clean_cpus[c]) {
+        if let Some((recorded, hit)) = self.replay(self.topology.cpu_resource(c)) {
             for &i in on_cpu {
-                tasks[i] = Some(w.replay.results.tasks[i]);
+                tasks[i] = Some(recorded.tasks[i]);
             }
-            self.count_replayed(on_cpu.len());
+            if hit {
+                self.count_replayed(on_cpu.len());
+            }
             return Ok(());
         }
         let lowered = self.lower_cpu(c)?;
@@ -1913,6 +2004,101 @@ mod tests {
                     upstream.unpacked_signal(frame, signal).is_some(),
                     downstream.unpacked_signal(frame, signal).is_some()
                 );
+            }
+        }
+    }
+
+    /// A three-hop gateway chain fed by a bursty source: F0 on can0 →
+    /// relay1 on gw1 → F1 on can1 → relay2 on gw2 → F2 on can2 → rx on
+    /// sink. Each relay's response jitter widens the next hop's bursts.
+    fn relay_chain() -> SystemSpec {
+        let bursty = StandardEventModel::periodic_with_jitter(Time::new(1_000), Time::new(2_500));
+        let relay = |name: &str, cpu: &str, wcet: i64, frame: &str| TaskSpec {
+            bcet: Time::new(50),
+            ..simple_task(name, cpu, wcet, 1, signal_x(frame))
+        };
+        SystemSpec::new()
+            .cpu("gw1")
+            .cpu("gw2")
+            .cpu("sink")
+            .bus("can0", CanBusConfig::new(Time::new(1)))
+            .bus("can1", CanBusConfig::new(Time::new(1)))
+            .bus("can2", CanBusConfig::new(Time::new(1)))
+            .frame(gateway_frame(
+                "F0",
+                "can0",
+                ActivationSpec::External(bursty.expect("a valid model").shared()),
+            ))
+            .frame(gateway_frame(
+                "F1",
+                "can1",
+                ActivationSpec::TaskOutput("relay1".into()),
+            ))
+            .frame(gateway_frame(
+                "F2",
+                "can2",
+                ActivationSpec::TaskOutput("relay2".into()),
+            ))
+            .task(relay("relay1", "gw1", 300, "F0"))
+            .task(relay("relay2", "gw2", 300, "F1"))
+            .task(relay("rx", "sink", 400, "F2"))
+    }
+
+    /// An iteration re-analyses only what reads a task output that the
+    /// previous iteration moved, and what depends on that. Hop `h` of
+    /// the relay chain reads relay `h`'s output, which settles in
+    /// iteration `h`, so its busy-window counters grow up to iteration
+    /// `h + 1` and stay flat after it; a confirming iteration whose
+    /// predecessor moved no task re-analyses nothing. The results are
+    /// pinned.
+    #[test]
+    fn the_in_run_cone_follows_task_outputs() {
+        let spec = relay_chain();
+        let hops = [["F0", "relay1"], ["F1", "relay2"], ["F2", "rx"]];
+        // (r⁻, r⁺) in entity order: F0, F1, F2, relay1, relay2, rx.
+        let r_minus = [63, 63, 63, 50, 50, 50];
+        let goldens = [
+            (
+                AnalysisMode::Hierarchical,
+                3,
+                [225, 150, 200, 988, 1248, 2085],
+            ),
+            (AnalysisMode::Flat, 4, [225, 150, 175, 862, 1061, 2084]),
+            (AnalysisMode::FlatSem, 4, [225, 150, 196, 862, 1101, 2085]),
+        ];
+        for (mode, iterations, r_plus) in goldens {
+            let run = |cap: u64| {
+                let (recorder, handle) = hem_obs::MemoryRecorder::handle();
+                let mut config = SystemConfig::new(mode).with_recorder(handle);
+                config.max_global_iterations = cap;
+                let robust = analyze_robust(&spec, &config).expect("well-formed");
+                (robust, recorder.snapshot())
+            };
+            let (full, _) = run(64);
+            assert!(full.diagnostics.converged(), "{mode:?}");
+            assert_eq!(full.diagnostics.iterations, iterations, "{mode:?}");
+            let results: Vec<(i64, i64)> = full
+                .results
+                .frames()
+                .chain(full.results.tasks())
+                .map(|(_, r)| (r.response.r_minus.ticks(), r.response.r_plus.ticks()))
+                .collect();
+            let golden: Vec<(i64, i64)> = r_minus.into_iter().zip(r_plus).collect();
+            assert_eq!(results, golden, "{mode:?}");
+            let counts: Vec<_> = (1..=iterations).map(|cap| run(cap).1).collect();
+            for (h, hop) in hops.iter().enumerate() {
+                for entity in hop {
+                    let count = |k: usize| {
+                        counts[k - 1].labeled_counter(Counter::BusyWindowIterations, entity)
+                    };
+                    for k in 2..=iterations as usize {
+                        if k <= h + 1 {
+                            assert!(count(k) > count(k - 1), "{mode:?} {entity} grows in {k}");
+                        } else {
+                            assert_eq!(count(k), count(k - 1), "{mode:?} {entity} settled in {k}");
+                        }
+                    }
+                }
             }
         }
     }

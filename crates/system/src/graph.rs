@@ -4,8 +4,10 @@
 //! and wiring lives in one [`Topology`], derived in one pass per wiring
 //! and carried along by warm starts: the entity index, the compiled
 //! activation wiring the resolver follows, the sorted keys every
-//! name-keyed output is built from, and the resource dependency edges
-//! the incremental engine's damage cone closes over.
+//! name-keyed output is built from, the resource dependency edges the
+//! damage cones close over, and the readers of every task's output,
+//! which seed the cone of what one global iteration can change in the
+//! next.
 //!
 //! Resolution order needs no graph: within one global iteration, task
 //! outputs are derived from *previous-iteration* response times, so the
@@ -140,6 +142,9 @@ pub(crate) struct Topology {
     /// one iteration), a consumer of a task's output on the task's CPU
     /// (one iteration later).
     dependents: Vec<Vec<usize>>,
+    /// The resources that read `spec.tasks[i]`'s output, in resource
+    /// order: the only state an iteration reads from the previous one.
+    task_readers: Vec<Vec<usize>>,
     /// `bus:<name>` / `cpu:<name>` of every resource, by resource number.
     resource_keys: Strings,
     /// Resource numbers in prefixed-key order.
@@ -196,23 +201,25 @@ impl WireCompiler<'_> {
 }
 
 /// Pushes the resources a source reads directly (no recursion through
-/// producers: their own inputs are their resources' edges).
-fn direct_deps(topology: &Topology, wire: &Wire, out: &mut Vec<usize>) {
+/// producers: their own inputs are their resources' edges), and the
+/// tasks whose outputs it reads.
+fn direct_deps(topology: &Topology, wire: &Wire, deps: &mut Vec<usize>, tasks: &mut Vec<usize>) {
     match wire {
         Wire::External | Wire::Dangling => {}
         &Wire::TaskOutput(i) => {
+            tasks.push(i);
             if let Some(c) = topology.task_cpu[i] {
-                out.push(topology.buses.len() + c);
+                deps.push(topology.buses.len() + c);
             }
         }
         &Wire::Signal { frame: j, .. } | &Wire::FrameArrivals(j) => {
             if let Some(b) = topology.frame_bus[j] {
-                out.push(b);
+                deps.push(b);
             }
         }
         Wire::AnyOf(wires) | Wire::AllOf(wires) => {
             for w in wires {
-                direct_deps(topology, w, out);
+                direct_deps(topology, w, deps, tasks);
             }
         }
     }
@@ -329,6 +336,7 @@ impl Topology {
             signal_wires,
             externals,
             dependents: Vec::new(),
+            task_readers: Vec::new(),
             resource_keys,
             resource_order,
             entities,
@@ -338,33 +346,47 @@ impl Topology {
         topology
     }
 
-    /// Derives the direct dependents of every resource: a `TaskOutput`
+    /// Derives the direct dependents of every resource — a `TaskOutput`
     /// consumer depends on the producer's CPU, a `Signal` /
-    /// `FrameArrivals` consumer on the transporting frame's bus.
+    /// `FrameArrivals` consumer on the transporting frame's bus — and
+    /// the readers of every task's output.
     fn link(&mut self) {
         let n_buses = self.buses.len();
         let mut dependents = vec![Vec::new(); self.resource_count()];
-        let mut deps = Vec::new();
+        let mut task_readers = vec![Vec::new(); self.tasks.len()];
+        let (mut deps, mut tasks) = (Vec::new(), Vec::new());
         for r in 0..self.resource_count() {
             deps.clear();
+            tasks.clear();
             if r < n_buses {
                 for &j in &self.bus_frames[r] {
                     for wire in self.frame_signal_wires(j) {
-                        direct_deps(self, wire, &mut deps);
+                        direct_deps(self, wire, &mut deps, &mut tasks);
                     }
                 }
             } else {
                 for &i in &self.cpu_tasks[r - n_buses] {
-                    direct_deps(self, &self.task_wires[i], &mut deps);
+                    direct_deps(self, &self.task_wires[i], &mut deps, &mut tasks);
                 }
             }
-            deps.sort_unstable();
-            deps.dedup();
+            for list in [&mut deps, &mut tasks] {
+                list.sort_unstable();
+                list.dedup();
+            }
             for &d in &deps {
                 dependents[d].push(r);
             }
+            for &i in &tasks {
+                task_readers[i].push(r);
+            }
         }
         self.dependents = dependents;
+        self.task_readers = task_readers;
+    }
+
+    /// The resources that read `spec.tasks[i]`'s output.
+    pub(crate) fn task_readers(&self, i: usize) -> &[usize] {
+        &self.task_readers[i]
     }
 
     /// The positions of `spec.frames[j]`'s signals in the frame-major

@@ -446,10 +446,7 @@ fn plan<'w>(
     let delta = delta.ok_or(FallbackReason::StructuralChange)?;
     let cone = topology.dependents_closure(delta.seeds);
     let engine_warm = EngineWarm {
-        clean_buses: (0..topology.buses.len()).map(|b| !cone[b]).collect(),
-        clean_cpus: (0..topology.cpus.len())
-            .map(|c| !cone[topology.cpu_resource(c)])
-            .collect(),
+        clean: cone.iter().map(|&dirty| !dirty).collect(),
         kept_packings: (delta.same_packings.iter().enumerate())
             .map(|(j, &same)| same && topology.external_fed(j))
             .collect(),
