@@ -1,5 +1,6 @@
 //! Access to the committed scenario corpus under
-//! `crates/bench/scenarios/`.
+//! `crates/bench/scenarios/`, and to the fixtures under
+//! `crates/bench/fixtures/` that the analysis gates iterate next to it.
 //!
 //! The corpus is the shared fixture set for every directory-iterating
 //! gate: the workspace-level scenario tests, the differential
@@ -9,7 +10,7 @@
 //! unparseable file panics with its path, because a broken fixture
 //! must fail loudly rather than silently shrink the corpus.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hem_system::dsl::{parse_scenario, Scenario};
 
@@ -37,8 +38,25 @@ pub fn corpus_dir() -> PathBuf {
 /// Panics if the directory cannot be read or any file fails to parse.
 #[must_use]
 pub fn corpus() -> Vec<CorpusEntry> {
-    let dir = corpus_dir();
-    let mut entries: Vec<CorpusEntry> = std::fs::read_dir(&dir)
+    load_dir(&corpus_dir())
+}
+
+/// Loads the `.hem` fixtures under `crates/bench/fixtures/`, sorted by
+/// file name: scenarios that the corpus gates (mode dominance, fast-path
+/// determinism, sim-vs-analysis) iterate next to [`corpus`], but that
+/// the corpus itself does not hold yet, because perfbench's `corpus`
+/// workload expects a row for every corpus file.
+///
+/// # Panics
+///
+/// Panics if the directory cannot be read or any file fails to parse.
+#[must_use]
+pub fn fixtures() -> Vec<CorpusEntry> {
+    load_dir(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures"))
+}
+
+fn load_dir(dir: &Path) -> Vec<CorpusEntry> {
+    let mut entries: Vec<CorpusEntry> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
         .map(|entry| entry.expect("readable directory entry").path())
         .filter(|path| path.extension().is_some_and(|ext| ext == "hem"))
@@ -73,5 +91,10 @@ mod tests {
         assert!(entries.len() >= 50, "corpus has {} files", entries.len());
         assert!(entries.windows(2).all(|w| w[0].name < w[1].name));
         assert!(entries.iter().any(|e| e.name == "paper"));
+        let fixtures = fixtures();
+        assert!(fixtures.iter().any(|e| e.name == "relay_chain"));
+        assert!(fixtures
+            .iter()
+            .all(|f| entries.iter().all(|e| e.name != f.name)));
     }
 }

@@ -1,10 +1,11 @@
 //! Corpus-wide analysis gates: every `.hem` file under
 //! `crates/bench/scenarios/` (loaded through
-//! [`hem_bench::scenarios::corpus`]) is analyzed in all three modes
-//! with mode dominance checked per entity, re-run with the analytic
-//! fast path toggled to prove determinism, and
-//! its periodic CPU workloads are re-checked with the EDF
-//! processor-demand criterion against their SPP bounds.
+//! [`hem_bench::scenarios::corpus`]) and `crates/bench/fixtures/`
+//! ([`hem_bench::scenarios::fixtures`]) is analyzed in all three modes
+//! with mode dominance checked per entity and re-run with the analytic
+//! fast path toggled to prove determinism; the corpus's periodic CPU
+//! workloads are re-checked with the EDF processor-demand criterion
+//! against their SPP bounds.
 //!
 //! The DSL round-trip and golden-number gates live in the workspace
 //! `tests/scenarios.rs`; the sim-vs-analysis leg lives in
@@ -12,7 +13,7 @@
 //! directory, so adding a scenario enrolls it everywhere at once.
 
 use hem_analysis::{dbf, spp, AnalysisConfig, AnalysisTask, Priority};
-use hem_bench::scenarios::{corpus, CorpusEntry};
+use hem_bench::scenarios::{corpus, fixtures, CorpusEntry};
 use hem_event_models::{EventModelExt, ModelRef, StandardEventModel};
 use hem_system::dsl::{Scenario, SourceDecl};
 use hem_system::{analyze, AnalysisMode, SystemConfig, SystemResults};
@@ -26,7 +27,7 @@ fn run(entry: &CorpusEntry, config: &SystemConfig) -> SystemResults {
 
 #[test]
 fn every_scenario_analyzes_with_mode_dominance() {
-    for entry in corpus() {
+    for entry in corpus().into_iter().chain(fixtures()) {
         let hem = run(&entry, &SystemConfig::new(AnalysisMode::Hierarchical));
         let flat = run(&entry, &SystemConfig::new(AnalysisMode::Flat));
         let flat_sem = run(&entry, &SystemConfig::new(AnalysisMode::FlatSem));
@@ -80,7 +81,7 @@ fn every_scenario_analyzes_with_mode_dominance() {
 
 #[test]
 fn every_scenario_is_deterministic_across_fast_path() {
-    for entry in corpus() {
+    for entry in corpus().into_iter().chain(fixtures()) {
         let reference = run(
             &entry,
             &SystemConfig::new(AnalysisMode::Hierarchical).with_analytic(Some(false)),

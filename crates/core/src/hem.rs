@@ -122,11 +122,12 @@ impl HierarchicalEventModel {
     /// Applies the output-stream operation `Θ_τ` to the hierarchy: the
     /// outer stream is processed with response times `[r⁻, r⁺]` and every
     /// inner stream is adapted by the inner update function
-    /// `B_Θτ,C_pa` (paper Def. 9):
+    /// `B_Θτ,C_pa` (paper Def. 9), bounded by the processed outer stream
+    /// `δ'_out` (see [`InnerUpdated`]):
     ///
     /// ```text
-    /// δ''ᵢ⁻(n) = max( δ'ᵢ⁻(n) − (r⁺−r⁻) − (k−1)·r⁻,  (n−1)·r⁻ )
-    /// δ''ᵢ⁺(n) = δ'ᵢ⁺(n) + (r⁺−r⁻) + (k−1)·r⁻
+    /// δ''ᵢ⁻(n) = max( δ'ᵢ⁻(n) − (r⁺−r⁻) − (k−1)·r⁻,  δ'_out⁻(n) )
+    /// δ''ᵢ⁺(n) = max( δ'ᵢ⁺(n) + (r⁺−r⁻) + (k−1)·r⁻,  δ''ᵢ⁻(n) )
     /// ```
     ///
     /// where `k` is the maximum number of *simultaneous* outer-stream
@@ -139,16 +140,15 @@ impl HierarchicalEventModel {
     /// Returns [`ModelError::InvalidParameter`] unless
     /// `0 ≤ r_minus ≤ r_plus`.
     pub fn process(&self, r_minus: Time, r_plus: Time) -> Result<Self, ModelError> {
-        let k = self.outer.max_simultaneous();
-        let outer = OutputModel::new(self.outer.clone(), r_minus, r_plus)?.shared();
+        let outer = Arc::new(OutputModel::new(self.outer.clone(), r_minus, r_plus)?);
         let inners = self
             .inners
             .iter()
             .map(|inner| {
-                InnerUpdated::new(inner.model.clone(), r_minus, r_plus, k)
-                    .map(|updated| InnerStream::new(inner.name.clone(), updated.shared()))
+                let updated = InnerUpdated::new(inner.model.clone(), outer.clone());
+                InnerStream::new(inner.name.clone(), updated.shared())
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect();
         Ok(HierarchicalEventModel {
             outer,
             inners,

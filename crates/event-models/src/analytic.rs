@@ -984,6 +984,59 @@ impl AnalyticCurve {
     /// and with `(1, r⁻)` when the serialization floor dominates, proven
     /// past an exact affine crossover.
     pub(crate) fn output(&self, r_minus: Time, r_plus: Time) -> Option<AnalyticCurve> {
+        let (min_head, e, period) = self.output_min(r_minus, r_plus)?;
+        let jit = (r_plus - r_minus).ticks();
+        // δ⁺ side: the input's δ⁺ shifted by the response jitter, floored
+        // by the freshly computed δ'⁻ (the consistency floor of the
+        // generic operation).
+        let (plus_head, plus_e, plus_period, fip) = match self.first_infinite_plus {
+            Some(f) => {
+                let mut head = Vec::with_capacity((f - 2) as usize);
+                for n in 2..f {
+                    let inp = match self.delta_plus(n) {
+                        TimeBound::Finite(v) => v.ticks() + jit,
+                        TimeBound::Infinite => return None,
+                    };
+                    head.push(Time::new(
+                        inp.max(extended(&min_head, e, period, n).ticks()),
+                    ));
+                }
+                (head, 1, Time::ONE, Some(f))
+            }
+            None => {
+                let terms = [
+                    Term::Curve {
+                        head: &self.dplus,
+                        e: self.dplus_events,
+                        period: self.dplus_period,
+                        offset: Time::new(jit),
+                    },
+                    Term::Curve {
+                        head: &min_head,
+                        e,
+                        period,
+                        offset: Time::ZERO,
+                    },
+                ];
+                let (h, pe, pp) = max_combine(&terms)?;
+                (h, pe, pp, None)
+            }
+        };
+        Self::from_parts(min_head, e, period, plus_head, plus_e, plus_period, fip)
+    }
+
+    /// The `δ'⁻` side of [`AnalyticCurve::output`] alone, with `δ⁺ ≡ ∞`:
+    /// the output stream's minimum distances without their maximum
+    /// counterpart, for bounds that read only `δ⁻` (the inner update of
+    /// a processed hierarchy, `hem_core::InnerUpdated`).
+    pub(crate) fn output_lower(&self, r_minus: Time, r_plus: Time) -> Option<AnalyticCurve> {
+        let (head, e, period) = self.output_min(r_minus, r_plus)?;
+        Self::from_parts(head, e, period, Vec::new(), 1, Time::ONE, Some(2))
+    }
+
+    /// The `δ'⁻` side of [`AnalyticCurve::output`]: its head, stride
+    /// and period.
+    fn output_min(&self, r_minus: Time, r_plus: Time) -> Option<(Vec<Time>, u64, Time)> {
         if r_minus.is_negative() || r_minus > r_plus {
             return None;
         }
@@ -1059,43 +1112,7 @@ impl AnalyticCurve {
                 return None;
             }
         }
-        // δ⁺ side: the input's δ⁺ shifted by the response jitter, floored
-        // by the freshly computed δ'⁻ (the consistency floor of the
-        // generic operation).
-        let (plus_head, plus_e, plus_period, fip) = match self.first_infinite_plus {
-            Some(f) => {
-                let mut head = Vec::with_capacity((f - 2) as usize);
-                for n in 2..f {
-                    let inp = match self.delta_plus(n) {
-                        TimeBound::Finite(v) => v.ticks() + jit,
-                        TimeBound::Infinite => return None,
-                    };
-                    head.push(Time::new(
-                        inp.max(extended(&min_head, e, period, n).ticks()),
-                    ));
-                }
-                (head, 1, Time::ONE, Some(f))
-            }
-            None => {
-                let terms = [
-                    Term::Curve {
-                        head: &self.dplus,
-                        e: self.dplus_events,
-                        period: self.dplus_period,
-                        offset: Time::new(jit),
-                    },
-                    Term::Curve {
-                        head: &min_head,
-                        e,
-                        period,
-                        offset: Time::ZERO,
-                    },
-                ];
-                let (h, pe, pp) = max_combine(&terms)?;
-                (h, pe, pp, None)
-            }
-        };
-        Self::from_parts(min_head, e, period, plus_head, plus_e, plus_period, fip)
+        Some((min_head, e, period))
     }
 }
 
@@ -1263,6 +1280,11 @@ mod tests {
             let out = OutputModel::new(input, Time::new(rm), Time::new(rp)).unwrap();
             let a = out.analytic().expect("output lifts");
             assert_equiv(&a, &out, 64, 2_500);
+            let lower = out.lower_curve().expect("δ⁻ side lifts");
+            for n in 0..=64 {
+                assert_eq!(lower.delta_min(n), out.delta_min(n), "δ⁻({n})");
+            }
+            assert_eq!(lower.first_infinite_plus(), Some(2));
         }
     }
 
@@ -1305,21 +1327,6 @@ mod tests {
         let shaped = DminShaper::new(or, Time::new(5)).unwrap();
         let a = shaped.analytic().expect("nested tree lifts");
         assert_equiv(&a, &shaped, 80, 4_000);
-    }
-
-    #[test]
-    fn additive_closure_falls_back() {
-        let loose = crate::CurveBuilder::new()
-            .delta_min_ticks([100, 200, 220, 400])
-            .delta_plus_ticks([100, 200, 300, 400])
-            .extension(1, Time::new(100))
-            .build()
-            .unwrap();
-        let tight = crate::ops::AdditiveClosure::new(loose.shared());
-        assert!(
-            tight.analytic().is_none(),
-            "closure is a documented fallback"
-        );
     }
 
     #[test]

@@ -17,13 +17,11 @@
 //! chain into an explicit curve when query cost matters.
 
 mod and;
-mod closure;
 mod or;
 mod output;
 mod shaper;
 
 pub use and::AndJoin;
-pub use closure::AdditiveClosure;
 pub use or::OrJoin;
 pub use output::OutputModel;
 pub use shaper::DminShaper;

@@ -107,6 +107,15 @@ impl EventModel for OrJoin {
         self.inputs.iter().map(|m| m.eta_minus(dt)).sum()
     }
 
+    fn max_simultaneous(&self) -> u64 {
+        // The lift is exact, so once built it answers for the generic
+        // δ⁻ search (each inner update of a hierarchy asks for `k`).
+        match self.lift.get() {
+            Some(Some(curve)) => curve.max_simultaneous(),
+            _ => convert::max_simultaneous_from_delta_min(&|n| self.delta_min(n)),
+        }
+    }
+
     fn analytic(&self) -> Option<AnalyticCurve> {
         self.lift
             .get_or_init(|| {

@@ -1,6 +1,6 @@
 //! The output-stream operation `Θ_τ` (paper §3).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use hem_time::{Time, TimeBound};
 
@@ -46,6 +46,8 @@ pub struct OutputModel {
     /// Memo for the δ'⁻ recursion; `memo[n]` holds δ'⁻(n), seeded for
     /// n = 0, 1.
     memo: Mutex<Vec<Time>>,
+    /// [`OutputModel::lower_curve`], built on the first request.
+    lower: OnceLock<Option<AnalyticCurve>>,
 }
 
 impl OutputModel {
@@ -67,7 +69,28 @@ impl OutputModel {
             r_minus,
             r_plus,
             memo: Mutex::new(vec![Time::ZERO, Time::ZERO]),
+            lower: OnceLock::new(),
         })
+    }
+
+    /// The input stream the task processes.
+    #[must_use]
+    pub fn input(&self) -> &ModelRef {
+        &self.input
+    }
+
+    /// The closed form of `δ'⁻` alone, with `δ⁺ ≡ ∞`, or `None` where
+    /// the input does not lift. Built once: every inner stream of a processed hierarchy
+    /// is bounded by it (see `hem_core::InnerUpdated`).
+    #[must_use]
+    pub fn lower_curve(&self) -> Option<&AnalyticCurve> {
+        self.lower
+            .get_or_init(|| {
+                self.input
+                    .analytic()?
+                    .output_lower(self.r_minus, self.r_plus)
+            })
+            .as_ref()
     }
 
     /// The response-time jitter `r⁺ − r⁻` added by the task.

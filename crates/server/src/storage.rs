@@ -32,7 +32,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::ops::Bound;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use hem_obs::{Counter, RecorderHandle};
@@ -204,13 +205,26 @@ enum OpKind {
     Meta,
 }
 
+/// Files and directories are keyed by their path's bytes: comparing
+/// bytes costs the same whatever the path's length, where `PathBuf`
+/// compares component by component. Paths are therefore not
+/// normalized: `d/a` and `d//a` name different files, so callers join
+/// paths the same way each time (the server always uses `Path::join`).
 #[derive(Debug, Default)]
 struct ChaosFs {
     /// What reads observe now.
-    current: BTreeMap<PathBuf, Vec<u8>>,
+    current: BTreeMap<Vec<u8>, Vec<u8>>,
     /// What survives a power cut.
-    durable: BTreeMap<PathBuf, Vec<u8>>,
-    dirs: BTreeSet<PathBuf>,
+    durable: BTreeMap<Vec<u8>, Vec<u8>>,
+    dirs: BTreeSet<Vec<u8>>,
+}
+
+/// The path separator as a byte of a [`ChaosFs`] key.
+const SEP: u8 = std::path::MAIN_SEPARATOR as u8;
+
+/// The [`ChaosFs`] key of `path`.
+fn key(path: &Path) -> &[u8] {
+    path.as_os_str().as_encoded_bytes()
 }
 
 #[derive(Debug)]
@@ -289,7 +303,7 @@ impl ChaosStorage {
     /// `None` if the file was never synced into existence.
     #[must_use]
     pub fn durable_image(&self, path: &Path) -> Option<Vec<u8>> {
-        self.lock().fs.durable.get(path).cloned()
+        self.lock().fs.durable.get(key(path)).cloned()
     }
 
     /// Sum of current file sizes — the disk footprint a `du` would see.
@@ -313,15 +327,15 @@ impl ChaosStorage {
         let mut inner = self.lock();
         let seed = inner.opts.seed;
         let op = inner.ops;
-        let mut rebooted: BTreeMap<PathBuf, Vec<u8>> = BTreeMap::new();
+        let mut rebooted: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for (path, current) in &inner.fs.current {
             let base = inner.fs.durable.get(path).cloned().unwrap_or_default();
             let image = if current.len() > base.len() && current.starts_with(&base) {
                 // Unsynced append suffix: a prefix of it may have been
                 // lazily flushed before the cut.
                 let extra = &current[base.len()..];
-                let debris = (chaos_hash(seed, op, &format!("debris:{}", path.display())) as usize)
-                    % (extra.len() + 1);
+                let salt = format!("debris:{}", String::from_utf8_lossy(path));
+                let debris = (chaos_hash(seed, op, &salt) as usize) % (extra.len() + 1);
                 let mut image = base;
                 image.extend_from_slice(&extra[..debris]);
                 image
@@ -432,7 +446,7 @@ impl Storage for ChaosStorage {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         let mut inner = self.lock();
         match ChaosStorage::begin(&mut inner, OpKind::Read) {
-            Ok(_) => inner.fs.current.get(path).cloned().ok_or_else(|| {
+            Ok(_) => inner.fs.current.get(key(path)).cloned().ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotFound, format!("{}", path.display()))
             }),
             Err(d) => Err(d.error()),
@@ -445,7 +459,7 @@ impl Storage for ChaosStorage {
             Ok(_) => inner
                 .fs
                 .current
-                .get(path)
+                .get(key(path))
                 .map(|v| v.len() as u64)
                 .ok_or_else(|| {
                     io::Error::new(io::ErrorKind::NotFound, format!("{}", path.display()))
@@ -459,7 +473,7 @@ impl Storage for ChaosStorage {
         // metadata cache hits, and letting them consume crash indices
         // would only dilute the enumeration with no-ops.
         let inner = self.lock();
-        inner.fs.current.contains_key(path) || inner.fs.dirs.contains(path)
+        inner.fs.current.contains_key(key(path)) || inner.fs.dirs.contains(key(path))
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -470,7 +484,7 @@ impl Storage for ChaosStorage {
                 inner
                     .fs
                     .current
-                    .entry(path.to_path_buf())
+                    .entry(key(path).to_vec())
                     .or_default()
                     .extend_from_slice(data);
                 Ok(())
@@ -481,7 +495,7 @@ impl Storage for ChaosStorage {
                     inner
                         .fs
                         .current
-                        .entry(path.to_path_buf())
+                        .entry(key(path).to_vec())
                         .or_default()
                         .extend_from_slice(&data[..torn]);
                 }
@@ -495,7 +509,7 @@ impl Storage for ChaosStorage {
         let seed = inner.opts.seed;
         match ChaosStorage::begin(&mut inner, OpKind::Write) {
             Ok(_) => {
-                inner.fs.current.insert(path.to_path_buf(), data.to_vec());
+                inner.fs.current.insert(key(path).to_vec(), data.to_vec());
                 Ok(())
             }
             Err(d) => {
@@ -504,7 +518,7 @@ impl Storage for ChaosStorage {
                     inner
                         .fs
                         .current
-                        .insert(path.to_path_buf(), data[..torn].to_vec());
+                        .insert(key(path).to_vec(), data[..torn].to_vec());
                 }
                 Err(d.error())
             }
@@ -516,8 +530,8 @@ impl Storage for ChaosStorage {
         let seed = inner.opts.seed;
         match ChaosStorage::begin(&mut inner, OpKind::Sync) {
             Ok(_) => {
-                if let Some(bytes) = inner.fs.current.get(path).cloned() {
-                    inner.fs.durable.insert(path.to_path_buf(), bytes);
+                if let Some(bytes) = inner.fs.current.get(key(path)).cloned() {
+                    inner.fs.durable.insert(key(path).to_vec(), bytes);
                     Ok(())
                 } else {
                     Err(io::Error::new(
@@ -529,8 +543,8 @@ impl Storage for ChaosStorage {
             Err(d) => {
                 if let OpDecision::Crash { op } = d {
                     if applied_before_crash(seed, op) {
-                        if let Some(bytes) = inner.fs.current.get(path).cloned() {
-                            inner.fs.durable.insert(path.to_path_buf(), bytes);
+                        if let Some(bytes) = inner.fs.current.get(key(path)).cloned() {
+                            inner.fs.durable.insert(key(path).to_vec(), bytes);
                         }
                     }
                 }
@@ -544,7 +558,7 @@ impl Storage for ChaosStorage {
         let mut inner = self.lock();
         let seed = inner.opts.seed;
         let apply = |inner: &mut ChaosInner| -> io::Result<()> {
-            let file = inner.fs.current.get_mut(path).ok_or_else(|| {
+            let file = inner.fs.current.get_mut(key(path)).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotFound, format!("{}", path.display()))
             })?;
             file.truncate(len as usize);
@@ -567,15 +581,15 @@ impl Storage for ChaosStorage {
         let mut inner = self.lock();
         let seed = inner.opts.seed;
         let apply = |inner: &mut ChaosInner| -> io::Result<()> {
-            let bytes = inner.fs.current.remove(from).ok_or_else(|| {
+            let bytes = inner.fs.current.remove(key(from)).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotFound, format!("{}", from.display()))
             })?;
-            inner.fs.current.insert(to.to_path_buf(), bytes);
+            inner.fs.current.insert(key(to).to_vec(), bytes);
             // Rename-after-fsync is atomic and durable on a journalled
             // fs: if the source content was durable, it is durable at
             // the new name (and gone from the old one).
-            if let Some(durable) = inner.fs.durable.remove(from) {
-                inner.fs.durable.insert(to.to_path_buf(), durable);
+            if let Some(durable) = inner.fs.durable.remove(key(from)) {
+                inner.fs.durable.insert(key(to).to_vec(), durable);
             }
             Ok(())
         };
@@ -596,13 +610,13 @@ impl Storage for ChaosStorage {
         let mut inner = self.lock();
         let seed = inner.opts.seed;
         let apply = |inner: &mut ChaosInner| -> io::Result<()> {
-            if inner.fs.current.remove(path).is_none() {
+            if inner.fs.current.remove(key(path)).is_none() {
                 return Err(io::Error::new(
                     io::ErrorKind::NotFound,
                     format!("{}", path.display()),
                 ));
             }
-            inner.fs.durable.remove(path);
+            inner.fs.durable.remove(key(path));
             Ok(())
         };
         match ChaosStorage::begin(&mut inner, OpKind::Meta) {
@@ -622,14 +636,22 @@ impl Storage for ChaosStorage {
         let mut inner = self.lock();
         match ChaosStorage::begin(&mut inner, OpKind::Read) {
             Ok(_) => {
-                let mut names: Vec<String> = inner
+                // The directory's files are the keys that extend its
+                // bytes by a separator: one contiguous, sorted range.
+                let mut prefix = key(dir).to_vec();
+                if !prefix.is_empty() && prefix.last() != Some(&SEP) {
+                    prefix.push(SEP);
+                }
+                let names = inner
                     .fs
                     .current
-                    .keys()
-                    .filter(|p| p.parent() == Some(dir))
-                    .filter_map(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
+                    .range::<[u8], _>((Bound::Included(&prefix[..]), Bound::Unbounded))
+                    .map(|(path, _)| path)
+                    .take_while(|path| path.starts_with(&prefix))
+                    .map(|path| &path[prefix.len()..])
+                    .filter(|name| !name.contains(&SEP))
+                    .map(|name| String::from_utf8_lossy(name).into_owned())
                     .collect();
-                names.sort();
                 Ok(names)
             }
             Err(d) => Err(d.error()),
@@ -642,7 +664,7 @@ impl Storage for ChaosStorage {
             Ok(_) => {
                 let mut cur = dir.to_path_buf();
                 loop {
-                    inner.fs.dirs.insert(cur.clone());
+                    inner.fs.dirs.insert(key(&cur).to_vec());
                     match cur.parent() {
                         Some(parent) if parent != Path::new("") => cur = parent.to_path_buf(),
                         _ => break,
@@ -673,6 +695,7 @@ impl Storage for ChaosStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn p(s: &str) -> PathBuf {
         PathBuf::from(s)
@@ -743,6 +766,35 @@ mod tests {
         disk.power_cycle();
         assert_eq!(disk.read(&p("d/c.ckpt")).expect("read"), b"checkpoint");
         assert!(!disk.exists(&p("d/t.tmp")));
+    }
+
+    #[test]
+    fn list_does_not_depend_on_directory_name_length() {
+        let listing = |dir: &str| {
+            let disk = ChaosStorage::new(ChaosOptions::quiet(1));
+            let dir = p(dir);
+            // Neighbours of `dir` in byte order: a sibling sharing its
+            // name as a prefix, a nested directory, and the parent.
+            let sibling = PathBuf::from(format!("{}x", dir.display()));
+            for (at, name) in [
+                (&dir, "b.wal"),
+                (&dir, "a.ckpt"),
+                (&sibling, "c.wal"),
+                (&dir.join("sub"), "d.wal"),
+                (&p("/tmp"), "e.wal"),
+            ] {
+                disk.write(&at.join(name), b"x").expect("write");
+            }
+            let names = disk.list(&dir).expect("list");
+            assert_eq!(
+                disk.list(&p(&format!("{}/", dir.display()))).expect("list"),
+                names
+            );
+            names
+        };
+        let short = listing("/tmp/d");
+        assert_eq!(short, ["a.ckpt", "b.wal"]);
+        assert_eq!(listing(&format!("/tmp/{}", "d".repeat(200))), short);
     }
 
     #[test]

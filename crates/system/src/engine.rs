@@ -962,16 +962,11 @@ impl<'a> Resolver<'a> {
                 match self.config.mode {
                     AnalysisMode::Hierarchical => {
                         let processed = self.processed_hem(j)?;
-                        let unpacked = processed.unpack_by_name(signal).ok_or_else(|| {
+                        processed.unpack_by_name(signal).ok_or_else(|| {
                             SystemError::UnknownReference {
                                 kind: "signal",
                                 name: signal_key(frame, signal),
                             }
-                        })?;
-                        Ok(if self.config.tighten_inner {
-                            hem_event_models::ops::AdditiveClosure::new(unpacked).shared()
-                        } else {
-                            unpacked
                         })
                     }
                     AnalysisMode::Flat | AnalysisMode::FlatSem => self.frame_output(j),
@@ -1498,23 +1493,6 @@ mod tests {
         let out = r.frame_output("F").expect("stored");
         assert!(act.delta_min(2) > Time::ZERO);
         assert!(out.delta_min(2) <= act.delta_min(2));
-    }
-
-    #[test]
-    fn tighten_inner_never_loosens() {
-        let spec = mini_system();
-        let plain = analyze(&spec, &SystemConfig::new(AnalysisMode::Hierarchical)).unwrap();
-        let tight = analyze(
-            &spec,
-            &SystemConfig {
-                tighten_inner: true,
-                ..SystemConfig::new(AnalysisMode::Hierarchical)
-            },
-        )
-        .unwrap();
-        assert!(
-            tight.task("rx").unwrap().response.r_plus <= plain.task("rx").unwrap().response.r_plus
-        );
     }
 
     #[test]
@@ -2060,8 +2038,8 @@ mod tests {
         let goldens = [
             (
                 AnalysisMode::Hierarchical,
-                3,
-                [225, 150, 200, 988, 1248, 2085],
+                4,
+                [225, 150, 175, 862, 1061, 2084],
             ),
             (AnalysisMode::Flat, 4, [225, 150, 175, 862, 1061, 2084]),
             (AnalysisMode::FlatSem, 4, [225, 150, 196, 862, 1101, 2085]),

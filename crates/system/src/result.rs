@@ -23,12 +23,6 @@ pub struct SystemConfig {
     /// Event-count horizon for the SEM fit used by
     /// [`AnalysisMode::FlatSem`] (larger = tighter baseline).
     pub sem_fit_horizon: u64,
-    /// Apply the additive-closure refinement
-    /// ([`AdditiveClosure`](hem_event_models::ops::AdditiveClosure)) to
-    /// unpacked inner streams before they activate receivers. Off by
-    /// default (paper-faithful Def. 9); switching it on can only tighten
-    /// results.
-    pub tighten_inner: bool,
     /// Stop early (reporting divergence) once some entity's worst-case
     /// response time has grown strictly — with non-shrinking increments —
     /// for this many consecutive global iterations. `0` disables the
@@ -63,7 +57,6 @@ impl SystemConfig {
             local: AnalysisConfig::default(),
             max_global_iterations: 64,
             sem_fit_horizon: 64,
-            tighten_inner: false,
             divergence_streak: 12,
             threads: 0,
             analytic: None,

@@ -77,7 +77,6 @@ pub struct WarmStart {
     fingerprint: Fingerprint,
     mode: AnalysisMode,
     sem_fit_horizon: u64,
-    tighten_inner: bool,
     max_busy_window: Time,
     max_activations: u64,
     max_iterations: u64,
@@ -108,7 +107,6 @@ impl WarmStart {
             fingerprint: Fingerprint::of(spec),
             mode: config.mode,
             sem_fit_horizon: config.sem_fit_horizon,
-            tighten_inner: config.tighten_inner,
             max_busy_window: config.local.max_busy_window,
             max_activations: config.local.max_activations,
             max_iterations: config.local.max_iterations,
@@ -147,7 +145,6 @@ impl WarmStart {
     fn compatible(&self, config: &SystemConfig) -> bool {
         self.mode == config.mode
             && self.sem_fit_horizon == config.sem_fit_horizon
-            && self.tighten_inner == config.tighten_inner
             && self.max_busy_window == config.local.max_busy_window
             && self.max_activations == config.local.max_activations
             && self.max_iterations == config.local.max_iterations
@@ -248,8 +245,7 @@ pub enum FallbackReason {
     /// No snapshot was supplied (the first run of a chain).
     NoSnapshot,
     /// Analysis-shaping configuration differs from the snapshot's
-    /// (mode, SEM fit horizon, inner tightening, or local busy-window
-    /// limits).
+    /// (mode, SEM fit horizon, or local busy-window limits).
     ConfigChanged,
     /// The topology changed structurally: entities added, removed,
     /// reordered, or moved to another resource.

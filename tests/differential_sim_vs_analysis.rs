@@ -338,7 +338,7 @@ fn corpus_traces(
     traces
 }
 
-/// Every corpus scenario, simulated from its declared sources under an
+/// Every corpus scenario and fixture, simulated from its declared sources under an
 /// empty fault plan, stays within both the flat and the hierarchical
 /// analytic envelope — the directory-iterating counterpart of the
 /// Fig. 2 variant grids above.
@@ -350,7 +350,8 @@ fn corpus_simulations_stay_within_analysis_bounds() {
     // Long enough that even the slowest corpus source (period 60000)
     // fires.
     let horizon = Time::new(100_000);
-    for entry in hem_bench::scenarios::corpus() {
+    let fixtures = hem_bench::scenarios::fixtures();
+    for entry in hem_bench::scenarios::corpus().into_iter().chain(fixtures) {
         let spec = entry.scenario.to_spec();
         let traces = corpus_traces(&entry.scenario, horizon, 0x5EED);
         let plan = FaultPlan::new(7); // no faults: plain worst-case run
