@@ -155,6 +155,23 @@ mod tests {
         assert!(report.default_infeasible_and_fixed);
     }
 
+    /// Priority orders vary fastest on the resources that read the
+    /// others: the CPU reads the bus, so a bus order holds while every
+    /// CPU order is tried, and most warm steps re-analyse the CPU
+    /// alone.
+    #[test]
+    fn downstream_orders_vary_fastest() {
+        let outcome = explore(
+            &explore_problem(0),
+            &SystemConfig::new(AnalysisMode::Hierarchical).with_threads(1),
+        )
+        .expect("explores");
+        let analysed = outcome.reports.iter().filter(|r| r.cone_fraction.is_some());
+        assert_eq!(analysed.count(), 294);
+        // The analysed candidates re-analyse 371 of their 588 resources.
+        assert_eq!(outcome.mean_cone_fraction, 185.5 / 294.0);
+    }
+
     #[test]
     fn report_counts_are_thread_invariant() {
         let one = run_explore(1);

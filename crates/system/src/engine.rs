@@ -226,6 +226,11 @@ pub(crate) struct EngineWarm<'w> {
     /// snapshot's: its recorded packing and outer stream carry over
     /// even when its bus is in the cone.
     pub(crate) kept_packings: Vec<bool>,
+    /// Whether `spec.tasks[i]`'s activation wiring and external models
+    /// equal the snapshot's and every resource it reads is clean: its
+    /// recorded activation carries over even when its CPU is in the
+    /// cone.
+    pub(crate) kept_activations: Vec<bool>,
     pub(crate) snapshot: &'w crate::warm::WarmStart,
 }
 
@@ -778,10 +783,10 @@ impl<'a> Resolver<'a> {
             curves,
         };
         if let Some(w) = warm {
-            resolver.seed(w.replay.resolution, &w.plan.clean);
+            resolver.seed(w.replay.resolution, &w.plan.clean, &w.plan.kept_activations);
         }
         if let Some(p) = previous {
-            resolver.seed(p.resolution, p.settled);
+            resolver.seed(p.resolution, p.settled, &[]);
         }
         match (previous, warm) {
             (Some(p), _) => resolver.carry(p.resolution, |j| topology.external_fed(j)),
@@ -792,12 +797,13 @@ impl<'a> Resolver<'a> {
     }
 
     /// Fills every unresolved slot of an entity on a `clean` resource
-    /// (by resource number) with its model in `record`. A clean
-    /// resource's models are bit-identical to what resolution would
-    /// rebuild, so the iteration never resolves, lifts, or packs them;
-    /// dirty resources read them from the tables like any resolved
-    /// model.
-    fn seed(&mut self, record: &Resolution, clean: &[bool]) {
+    /// (by resource number), and of every task activation flagged in
+    /// `kept` (by spec position; empty keeps none), with its model in
+    /// `record`. These models are bit-identical to what
+    /// resolution would rebuild, so the iteration never resolves,
+    /// lifts, or packs them; dirty resources read them from the tables
+    /// like any resolved model.
+    fn seed(&mut self, record: &Resolution, clean: &[bool], kept: &[bool]) {
         fn fill<T: Clone>(slot: &mut Option<T>, from: &Option<T>) {
             if slot.is_none() {
                 slot.clone_from(from);
@@ -805,8 +811,9 @@ impl<'a> Resolver<'a> {
         }
         let topology = self.topology;
         for (c, tasks) in topology.cpu_tasks.iter().enumerate() {
-            if clean[topology.cpu_resource(c)] {
-                for &i in tasks {
+            let clean = clean[topology.cpu_resource(c)];
+            for &i in tasks {
+                if clean || kept.get(i) == Some(&true) {
                     fill(&mut self.tables.tasks[i], &record.tasks[i]);
                 }
             }

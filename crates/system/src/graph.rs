@@ -389,6 +389,13 @@ impl Topology {
         &self.task_readers[i]
     }
 
+    /// Replaces `deps` with the resources a source reads directly,
+    /// possibly repeated.
+    pub(crate) fn reads(&self, wire: &Wire, deps: &mut Vec<usize>) {
+        deps.clear();
+        direct_deps(self, wire, deps, &mut Vec::new());
+    }
+
     /// The positions of `spec.frames[j]`'s signals in the frame-major
     /// signal numbering.
     pub(crate) fn frame_signals(&self, j: usize) -> std::ops::Range<usize> {

@@ -441,10 +441,23 @@ fn plan<'w>(
     }
     let delta = delta.ok_or(FallbackReason::StructuralChange)?;
     let cone = topology.dependents_closure(delta.seeds);
+    let mut deps = Vec::new();
     let engine_warm = EngineWarm {
         clean: cone.iter().map(|&dirty| !dirty).collect(),
         kept_packings: (delta.same_packings.iter().enumerate())
             .map(|(j, &same)| same && topology.external_fed(j))
+            .collect(),
+        // A clean CPU's tasks are seeded with it, so only the tasks of
+        // a dirty one need their inputs checked.
+        kept_activations: (delta.same_activations.iter().enumerate())
+            .map(|(i, &same)| {
+                let hosted_dirty =
+                    topology.task_cpu[i].is_some_and(|c| cone[topology.cpu_resource(c)]);
+                same && hosted_dirty && {
+                    topology.reads(&topology.task_wires[i], &mut deps);
+                    deps.iter().all(|&r| !cone[r])
+                }
+            })
             .collect(),
         snapshot,
     };
@@ -481,6 +494,10 @@ struct Delta {
     /// transfers, type, payload and format, but not its priority — are
     /// the snapshot's.
     same_packings: Vec<bool>,
+    /// Whether the activation of `spec.tasks[i]` — its wiring and
+    /// external models, but not its priority or execution times — is
+    /// the snapshot's.
+    same_activations: Vec<bool>,
 }
 
 impl Delta {
@@ -535,6 +552,7 @@ fn diff(topology: &Topology, old: &Fingerprint, spec: &SystemSpec) -> Option<Del
             &old.externals,
             &mut slot,
         );
+        delta.same_activations.push(wiring == Change::Same);
         let values = if old.tasks[i] == TaskValues::of(t) {
             Change::Same
         } else {

@@ -815,6 +815,32 @@ fn counter(run: &Run<impl Sized>, name: &str) -> u64 {
     run.snapshot.counters.get(name).copied().unwrap_or(0)
 }
 
+/// The hierarchical configuration of the tests that count lifts, with
+/// the analytic path pinned on whatever `HEM_ANALYTIC` says.
+fn lifting(handle: hem_obs::RecorderHandle) -> SystemConfig {
+    SystemConfig::new(AnalysisMode::Hierarchical)
+        .with_recorder(handle)
+        .with_analytic(Some(true))
+}
+
+fn run_lifted(spec: &SystemSpec, warm: Option<&WarmStart>) -> Run<IncrementalOutcome> {
+    let (recorder, handle) = MemoryRecorder::handle();
+    let outcome = analyze_incremental(spec, &lifting(handle), warm).expect("well-formed");
+    Run {
+        outcome,
+        snapshot: recorder.snapshot(),
+    }
+}
+
+fn run_lifted_cold(spec: &SystemSpec) -> Run<RobustAnalysis> {
+    let (recorder, handle) = MemoryRecorder::handle();
+    let outcome = analyze_robust(spec, &lifting(handle)).expect("well-formed");
+    Run {
+        outcome,
+        snapshot: recorder.snapshot(),
+    }
+}
+
 /// Warm resolution costs O(damage cone): a clean resource's models are
 /// replayed, never re-resolved or re-lifted. A silent fall-back to
 /// re-resolving the whole system would still produce cold-equal
@@ -822,34 +848,13 @@ fn counter(run: &Run<impl Sized>, name: &str) -> u64 {
 #[test]
 fn warm_resolution_is_cone_proportional() {
     const REPLICAS: u64 = 8;
-    let config = |handle| {
-        SystemConfig::new(AnalysisMode::Hierarchical)
-            .with_recorder(handle)
-            .with_analytic(Some(true))
-    };
-    let run = |spec: &SystemSpec, warm: Option<&WarmStart>| {
-        let (recorder, handle) = MemoryRecorder::handle();
-        let outcome = analyze_incremental(spec, &config(handle), warm).expect("well-formed");
-        Run {
-            outcome,
-            snapshot: recorder.snapshot(),
-        }
-    };
-    let run_cold = |spec: &SystemSpec| {
-        let (recorder, handle) = MemoryRecorder::handle();
-        let outcome = analyze_robust(spec, &config(handle)).expect("well-formed");
-        Run {
-            outcome,
-            snapshot: recorder.snapshot(),
-        }
-    };
     let spec = replica_grid(REPLICAS as usize);
-    let first = run(&spec, None);
+    let first = run_lifted(&spec, None);
     assert!(counter(&first, "analytic_lifts") > 0);
     let snapshot = first.outcome.snapshot.as_ref().expect("converged");
 
     // Unchanged spec: nothing is resolved, lifted, or analysed.
-    let unchanged = run(&spec, Some(snapshot));
+    let unchanged = run_lifted(&spec, Some(snapshot));
     assert!(unchanged.outcome.reuse.dirty_resources.is_empty());
     for name in [
         "analytic_lifts",
@@ -868,9 +873,9 @@ fn warm_resolution_is_cone_proportional() {
             .expect("valid")
             .shared(),
     );
-    let warm = run(&edited, Some(snapshot));
+    let warm = run_lifted(&edited, Some(snapshot));
     assert_eq!(warm.outcome.reuse.dirty_resources, ["bus:b0", "cpu:c0"]);
-    let cold = run_cold(&edited);
+    let cold = run_lifted_cold(&edited);
     assert_matches_cold(&edited, &warm, &cold, "one-replica edit");
     assert_eq!(counter(&cold, "analytic_fallbacks"), 0);
     assert_eq!(
@@ -946,25 +951,11 @@ fn one_bus_spec() -> SystemSpec {
 /// cold run lifts each external-fed frame's outer stream once (later
 /// iterations carry it), and a warm run only those it repacks.
 fn outer_lifts_saved(base: &SystemSpec, edited: &SystemSpec, label: &str) -> u64 {
-    let config = |handle| {
-        SystemConfig::new(AnalysisMode::Hierarchical)
-            .with_recorder(handle)
-            .with_analytic(Some(true))
-    };
     let first = analyze_incremental(base, &SystemConfig::new(AnalysisMode::Hierarchical), None)
         .expect("well-formed");
     let snapshot = first.snapshot.expect("converged");
-    let (recorder, handle) = MemoryRecorder::handle();
-    let outcome = analyze_incremental(edited, &config(handle), Some(&snapshot)).expect("valid");
-    let warm = Run {
-        outcome,
-        snapshot: recorder.snapshot(),
-    };
-    let (recorder, handle) = MemoryRecorder::handle();
-    let cold = Run {
-        outcome: analyze_robust(edited, &config(handle)).expect("well-formed"),
-        snapshot: recorder.snapshot(),
-    };
+    let warm = run_lifted(edited, Some(&snapshot));
+    let cold = run_lifted_cold(edited);
     assert!(warm.outcome.reuse.warm, "{label}: warm reuse");
     assert_eq!(
         warm.outcome.reuse.dirty_resources,
@@ -1028,4 +1019,40 @@ fn packing_input_edits_repack_only_their_frame() {
     for (label, edited) in &edits {
         assert_eq!(outer_lifts_saved(&base, edited, label), 2, "{label}");
     }
+}
+
+/// A task keeps its recorded activation when its wiring and external
+/// models are the snapshot's and every resource it reads is clean. A
+/// priority-only edit on the CPU of `one_bus_spec` leaves the bus its
+/// receivers read alone: the warm run lifts none of their activations
+/// and equals the cold run.
+/// A bus edit as well puts their inputs in the cone: they are resolved
+/// again, and still equal the cold run.
+#[test]
+fn priority_edits_keep_activations_whose_inputs_held() {
+    let base = one_bus_spec();
+    let first = run_lifted(&base, None);
+    let snapshot = first.outcome.snapshot.as_ref().expect("converged");
+
+    let mut repriced = base.clone();
+    repriced.tasks[0].priority = Priority::new(2);
+    repriced.tasks[1].priority = Priority::new(1);
+    let warm = run_lifted(&repriced, Some(snapshot));
+    let cold = run_lifted_cold(&repriced);
+    assert_eq!(warm.outcome.reuse.dirty_resources, ["cpu:ecu"]);
+    assert_matches_cold(&repriced, &warm, &cold, "task priorities");
+    assert_eq!(cold.outcome.results.iterations(), 2);
+    // Three outer streams and four activations, once: the second
+    // iteration repeats the first.
+    assert_eq!(counter(&cold, "analytic_lifts"), 7);
+    assert_eq!(counter(&warm, "analytic_lifts"), 0);
+    assert_eq!(counter(&warm, "analytic_fallbacks"), 0);
+
+    let mut retimed = repriced.clone();
+    retimed.frames[0].priority = Priority::new(2);
+    retimed.frames[1].priority = Priority::new(1);
+    let warm = run_lifted(&retimed, Some(snapshot));
+    let cold = run_lifted_cold(&retimed);
+    assert_eq!(warm.outcome.reuse.dirty_resources, ["bus:can", "cpu:ecu"]);
+    assert_matches_cold(&retimed, &warm, &cold, "bus and task priorities");
 }
